@@ -74,6 +74,8 @@ class SnapshotReader
 {
   public:
     explicit SnapshotReader(std::string_view bytes) : bytes_(bytes) {}
+    /** The reader keeps a view: a temporary string would dangle. */
+    SnapshotReader(std::string &&) = delete;
 
     /**
      * Validate the trailing checksum. Call once before restoring;

@@ -1,13 +1,15 @@
 /**
  * @file
- * Tests for the dora-analyze structural engine
- * (tools/analyze/analyze_engine.hh): scanner and structural-parser
- * unit tests (nested classes, templates, macros, comment/raw-string
- * edges), in-memory rule spot checks, manifest render/parse
- * round-trips and drift detection, one golden fixture suite per rule
- * under tests/analyze/fixtures/<rule>/, negative tests that delete a
- * real field-fold / snapshot line and expect a finding, and the
- * zero-findings self-scan scripts/ci.sh enforces.
+ * Tests for the dora-analyze engine (tools/analyze/analyze_engine.hh):
+ * scanner and structural-parser unit tests (nested classes, templates,
+ * macros, comment/raw-string edges, lane-kernel regions), in-memory
+ * spot checks for line and model rules, manifest render/parse
+ * round-trips and drift detection, one golden fixture per catalog rule
+ * under tests/analyze/fixtures/<rule>/ (positive hit, allowlisted
+ * path, NOLINT/annotation suppression, with repo-like virtual paths),
+ * negative tests that delete a real field-fold / snapshot line and
+ * expect a finding, and the zero-findings self-scan scripts/ci.sh
+ * enforces.
  */
 
 #include <algorithm>
@@ -206,6 +208,70 @@ TEST(AnalyzeScanner, AnnotationInsideStringIsIgnored)
     EXPECT_FALSE(u.hasAnnotation(2, "hash-exclude"));
 }
 
+TEST(LintScanner, StripsCommentsAndStringLiterals)
+{
+    const ScannedUnit f = scanUnit(
+        "src/sim/x.cc",
+        "int a; // rand() here is comment\n"
+        "const char *s = \"rand()\";\n"
+        "/* rand() in block\n   more rand() */ int b;\n");
+    ASSERT_EQ(f.code.size(), 4u);
+    EXPECT_EQ(f.code[0].find("rand"), std::string::npos);
+    EXPECT_EQ(f.code[1].find("rand"), std::string::npos);
+    EXPECT_NE(f.code[1].find("const char *s"), std::string::npos);
+    EXPECT_EQ(f.code[2].find("rand"), std::string::npos);
+    EXPECT_NE(f.code[3].find("int b;"), std::string::npos);
+}
+
+TEST(LintScanner, RawStringContentsAreBlanked)
+{
+    const ScannedUnit f = scanUnit(
+        "src/sim/x.cc",
+        "const char *re = R\"(time( rand( )\" ;\n"
+        "int after = 1;\n");
+    EXPECT_EQ(f.code[0].find("time("), std::string::npos);
+    EXPECT_EQ(f.code[0].find("rand("), std::string::npos);
+    EXPECT_NE(f.code[1].find("after"), std::string::npos);
+}
+
+TEST(LintScanner, EscapedQuoteStaysInsideString)
+{
+    const ScannedUnit f = scanUnit(
+        "src/sim/x.cc",
+        "const char *s = \"a\\\"rand()\\\"b\";\nint tail = 2;\n");
+    EXPECT_EQ(f.code[0].find("rand"), std::string::npos);
+    EXPECT_NE(f.code[1].find("tail"), std::string::npos);
+}
+
+TEST(LintScanner, CollectsNolintAndNolintNextline)
+{
+    const ScannedUnit f = scanUnit(
+        "src/sim/x.cc",
+        "int a; // NOLINT(dora-det-rand, dora-hyg-assert)\n"
+        "// NOLINTNEXTLINE(dora-det-wallclock)\n"
+        "int b;\n"
+        "int c; // NOLINT\n");
+    EXPECT_TRUE(f.nolint[0].count("dora-det-rand"));
+    EXPECT_TRUE(f.nolint[0].count("dora-hyg-assert"));
+    EXPECT_TRUE(f.nolint[2].count("dora-det-wallclock"));
+    EXPECT_TRUE(f.nolint[3].count("*"));
+    EXPECT_TRUE(f.nolint[1].empty());
+}
+
+TEST(AnalyzeScanner, LaneKernelMarkersOpenAndCloseARegion)
+{
+    // Both marker lines belong to the region; the lines around it
+    // do not.
+    const ScannedUnit u = scanUnit(
+        "src/mem/k.cc",
+        "int before;\n"
+        "// dora:lane-kernel-begin\n"
+        "int inside;\n"
+        "int last;  // dora:lane-kernel-end\n"
+        "int after;\n");
+    EXPECT_EQ(u.laneKernel, (std::vector<char>{0, 1, 1, 1, 0}));
+}
+
 TEST(AnalyzeScanner, NolintCollectsRuleSets)
 {
     const ScannedUnit u = scanUnit(
@@ -364,13 +430,145 @@ TEST(AnalyzeParser, PreprocessorAndCommentsAreSkipped)
 // Rules (in-memory spot checks)                                       //
 // ------------------------------------------------------------------ //
 
-TEST(AnalyzeRules, CatalogHasFiveUniqueIds)
+TEST(LintRules, CatalogHasUniqueStableIds)
 {
     std::set<std::string> ids;
-    for (const auto &rule : dora::analyze::ruleCatalog())
+    size_t line_rules = 0;
+    for (const auto &rule : dora::analyze::ruleCatalog()) {
         EXPECT_TRUE(ids.insert(rule.id).second)
             << "duplicate rule id " << rule.id;
-    EXPECT_EQ(ids.size(), 5u);
+        line_rules += rule.lineRule;
+    }
+    EXPECT_EQ(ids.size(), 16u);
+    EXPECT_EQ(line_rules, 11u);
+}
+
+namespace
+{
+
+/** Every rule over a single in-memory file under a virtual path. */
+std::vector<Finding>
+lintText(const std::string &virtual_path, const std::string &content)
+{
+    return analyzeFiles({{virtual_path, content}});
+}
+
+} // namespace
+
+TEST(LintRules, WallclockScopesToSimulationCode)
+{
+    const std::string clock_use =
+        "#include <chrono>\n"
+        "double t() { return std::chrono::steady_clock::now()"
+        ".time_since_epoch().count(); }\n";
+    EXPECT_EQ(lintText("src/sim/a.cc", clock_use).size(), 1u);
+    EXPECT_TRUE(lintText("src/exec/a.cc", clock_use).empty());
+    EXPECT_TRUE(lintText("src/obs/a.cc", clock_use).empty());
+    EXPECT_TRUE(lintText("bench/a.cc", clock_use).empty());
+    EXPECT_TRUE(lintText("tests/sim/a.cc", clock_use).empty());
+}
+
+TEST(LintRules, StaticFunctionDeclarationsAreNotGlobalState)
+{
+    const std::string decls =
+        "class T {\n"
+        "    static T make();\n"
+        "    static std::vector<int>\n"
+        "    split(const std::string &text);\n"
+        "};\n"
+        "static int helper(int x) { return x; }\n";
+    EXPECT_TRUE(lintText("src/sim/a.hh", decls).empty());
+}
+
+TEST(LintRules, MutableStaticIsFlaggedEvenMidLine)
+{
+    const auto findings = lintText(
+        "src/sim/a.cc",
+        "void tick() { static double last; last += 1.0; }\n");
+    ASSERT_EQ(findings.size(), 1u);
+    EXPECT_EQ(findings[0].rule, "dora-conc-global-state");
+}
+
+TEST(LintRules, GuardedAndAtomicGlobalsPass)
+{
+    EXPECT_TRUE(lintText("src/sim/a.cc",
+                         "std::atomic<int> g_n{0};\n"
+                         "Mutex g_mu;\n"
+                         "std::map<int, int> g_m GUARDED_BY(g_mu);\n")
+                    .empty());
+}
+
+TEST(LintRules, ConfigHashRuleNeedsBothTokens)
+{
+    const std::string clock_only =
+        "double t() { return time(nullptr); }\n";
+    const std::string both =
+        "unsigned long experimentConfigHash();\n" + clock_only;
+    EXPECT_TRUE(lintText("bench/a.cc", clock_only).empty());
+    const auto findings = lintText("bench/a.cc", both);
+    ASSERT_EQ(findings.size(), 1u);
+    EXPECT_EQ(findings[0].rule, "dora-det-confighash");
+    EXPECT_EQ(findings[0].line, 2);
+}
+
+TEST(LintRules, SnprintfIsNotAStreamWrite)
+{
+    EXPECT_TRUE(
+        lintText("src/sim/a.cc",
+                 "void f(char *b) { std::snprintf(b, 4, \"x\"); }\n")
+            .empty());
+}
+
+TEST(LintRules, CatchAllAcceptsRethrowAcrossLines)
+{
+    const std::string ok =
+        "void g() {\n"
+        "    try { r(); } catch (...) {\n"
+        "        cleanup();\n"
+        "        throw;\n"
+        "    }\n"
+        "}\n";
+    EXPECT_TRUE(lintText("src/sim/a.cc", ok).empty());
+    const std::string bad =
+        "void g() {\n"
+        "    try { r(); } catch (...) {\n"
+        "        cleanup();\n"
+        "    }\n"
+        "}\n";
+    const auto findings = lintText("src/sim/a.cc", bad);
+    ASSERT_EQ(findings.size(), 1u);
+    EXPECT_EQ(findings[0].rule, "dora-hyg-catch-all");
+    EXPECT_EQ(findings[0].line, 2);
+}
+
+TEST(LintRules, UncheckedTryFlagsStatementInitialCallsOnly)
+{
+    const std::string bad =
+        "void f(SnapshotReader &r, Sim &sim) {\n"
+        "    sim.tryRestore(r);\n"
+        "}\n";
+    const auto findings = lintText("src/sim/a.cc", bad);
+    ASSERT_EQ(findings.size(), 1u);
+    EXPECT_EQ(findings[0].rule, "dora-rob-unchecked-try");
+    EXPECT_EQ(findings[0].line, 2);
+
+    const std::string ok =
+        "bool f(SnapshotReader &r, Sim &sim) {\n"
+        "    const bool warm =\n"
+        "        sim.tryRestore(r);\n"
+        "    if (!tryDeserialize(t, &s))\n"
+        "        return false;\n"
+        "    return warm && sim.tryRestore(r);\n"
+        "}\n"
+        "bool\n"
+        "tryRestoreAll(SnapshotReader &r)\n"
+        "{\n"
+        "    return r.atEnd();\n"
+        "}\n";
+    EXPECT_TRUE(lintText("src/sim/a.cc", ok).empty());
+    // Out of scope: tests may exercise failure paths however they
+    // like.
+    EXPECT_TRUE(lintText("tests/sim/a.cc", bad).empty());
 }
 
 TEST(AnalyzeRules, HashCoverageSeesFoldsAcrossTus)
@@ -651,41 +849,90 @@ readExpect(const fs::path &expect_path)
     return lines;
 }
 
-class AnalyzeGolden : public ::testing::TestWithParam<std::string>
+fs::path
+fixturesRoot()
+{
+    return fs::path(repoRoot()) / "tests/analyze/fixtures";
+}
+
+/** Catalog ids of the line rules or of the model rules. */
+std::vector<std::string>
+ruleIds(bool line_rules)
+{
+    std::vector<std::string> ids;
+    for (const auto &rule : dora::analyze::ruleCatalog())
+        if (rule.lineRule == line_rules)
+            ids.push_back(rule.id);
+    return ids;
+}
+
+/**
+ * The fixture directory of rule GetParam() is a miniature repo: the
+ * whole checker runs over it and every finding must be listed in its
+ * expect.txt. One harness for both rule kinds; the two suite names
+ * only split the catalog by kind.
+ */
+class RuleGolden : public ::testing::TestWithParam<std::string>
+{
+  protected:
+    void checkFixture() const
+    {
+        const fs::path rule_dir = fixturesRoot() / GetParam();
+        ASSERT_TRUE(fs::exists(rule_dir / "expect.txt")) << rule_dir;
+        const auto findings = dora::analyze::analyzeTree(
+            rule_dir.string(), dora::analyze::defaultSubdirs());
+        EXPECT_EQ(keysOf(findings), readExpect(rule_dir / "expect.txt"));
+    }
+};
+
+class LintGolden : public RuleGolden
 {
 };
 
+class AnalyzeGolden : public RuleGolden
+{
+};
+
+std::string
+paramName(const ::testing::TestParamInfo<std::string> &info)
+{
+    std::string name = info.param;
+    std::replace(name.begin(), name.end(), '-', '_');
+    return name;
+}
+
 } // namespace
+
+TEST_P(LintGolden, FixtureFindingsMatchExpectFile)
+{
+    checkFixture();
+}
 
 TEST_P(AnalyzeGolden, FixtureFindingsMatchExpectFile)
 {
-    const fs::path rule_dir =
-        fs::path(repoRoot()) / "tests/analyze/fixtures" / GetParam();
-    ASSERT_TRUE(fs::exists(rule_dir)) << rule_dir;
-    ASSERT_TRUE(fs::exists(rule_dir / "expect.txt")) << rule_dir;
-    const auto findings = dora::analyze::analyzeTree(
-        rule_dir.string(), dora::analyze::defaultSubdirs());
-    EXPECT_EQ(keysOf(findings), readExpect(rule_dir / "expect.txt"));
+    checkFixture();
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    AllRules, AnalyzeGolden,
-    ::testing::Values("dora-cov-hash", "dora-cov-snapshot",
-                      "dora-det-streamtag", "dora-ser-version",
-                      "dora-cli-flag"),
-    [](const auto &info) {
-        std::string name = info.param;
-        std::replace(name.begin(), name.end(), '-', '_');
-        return name;
-    });
+INSTANTIATE_TEST_SUITE_P(AllRules, LintGolden,
+                         ::testing::ValuesIn(ruleIds(true)), paramName);
+INSTANTIATE_TEST_SUITE_P(AllRules, AnalyzeGolden,
+                         ::testing::ValuesIn(ruleIds(false)), paramName);
 
 TEST(AnalyzeGoldenCoverage, EveryRuleHasAFixtureDirectory)
 {
-    const fs::path fixtures =
-        fs::path(repoRoot()) / "tests/analyze/fixtures";
     for (const auto &rule : dora::analyze::ruleCatalog())
-        EXPECT_TRUE(fs::is_directory(fixtures / rule.id))
+        EXPECT_TRUE(fs::is_directory(fixturesRoot() / rule.id))
             << "missing fixture dir for " << rule.id;
+}
+
+TEST(AnalyzeGoldenCoverage, EveryFixtureDirectoryIsARule)
+{
+    std::set<std::string> ids;
+    for (const auto &rule : dora::analyze::ruleCatalog())
+        ids.insert(rule.id);
+    for (const auto &entry : fs::directory_iterator(fixturesRoot()))
+        EXPECT_TRUE(ids.count(entry.path().filename().string()))
+            << "fixture dir for unknown rule " << entry.path();
 }
 
 // ------------------------------------------------------------------ //
@@ -788,7 +1035,7 @@ TEST(AnalyzeReport, JsonIsWellFormedAndOrdered)
 {
     const std::vector<Finding> findings = {
         {"src/b.cc", 2, "dora-cov-hash", "m\"sg"},
-        {"src/a.cc", 9, "dora-cli-flag", "msg"},
+        {"src/a.cc", 9, "dora-hyg-assert", "msg"},
     };
     const std::string json = dora::analyze::renderJson(findings);
     EXPECT_EQ(json.front(), '[');

@@ -9,6 +9,7 @@
 #include <cstdint>
 #include <cstring>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "common/snapshot.hh"
@@ -17,6 +18,9 @@ namespace dora
 {
 namespace
 {
+
+// A reader over a temporary would keep a dangling view of its bytes.
+static_assert(!std::is_constructible_v<SnapshotReader, std::string>);
 
 TEST(Snapshot, ScalarRoundTrip)
 {
@@ -156,7 +160,8 @@ TEST(Snapshot, TruncationDetected)
     const std::string bytes = w.finish();
 
     for (size_t cut = 0; cut < bytes.size(); ++cut) {
-        SnapshotReader r(bytes.substr(0, cut));
+        const std::string truncated = bytes.substr(0, cut);
+        SnapshotReader r(truncated);
         EXPECT_FALSE(r.checksumOk()) << "cut at " << cut;
     }
 }

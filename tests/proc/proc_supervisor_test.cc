@@ -13,6 +13,7 @@
 
 #include <csignal>
 #include <cstdio>
+#include <ctime>
 #include <fstream>
 #include <string>
 #include <thread>
@@ -227,13 +228,22 @@ TEST_F(ProcSupervisorTest, SigintDrainsInFlightAndJournalsProgress)
     config.journalPath = journal_;
     config.campaignHash = 0xd5a1;
 
-    std::thread interrupter([] {
-        std::this_thread::sleep_for(std::chrono::milliseconds(400));
-        ::kill(::getpid(), SIGINT);
-    });
+    // A one-shot timer, not a thread, delivers the SIGINT: the
+    // supervisor must fork its workers from a single-threaded process
+    // (the child of a multi-threaded fork may only make
+    // async-signal-safe calls, and TSan kills such a worker as soon as
+    // it starts its heartbeat thread).
+    sigevent event = {};
+    event.sigev_notify = SIGEV_SIGNAL;
+    event.sigev_signo = SIGINT;
+    timer_t interrupter;
+    ASSERT_EQ(::timer_create(CLOCK_MONOTONIC, &event, &interrupter), 0);
+    itimerspec fire = {};
+    fire.it_value.tv_nsec = 400'000'000;
+    ASSERT_EQ(::timer_settime(interrupter, 0, &fire, nullptr), 0);
     const ProcSweepReport drained =
         runProcSweep(config, 20, slow_fn);
-    interrupter.join();
+    ::timer_delete(interrupter);
 
     EXPECT_TRUE(drained.drained);
     EXPECT_EQ(drained.drainSignal, SIGINT);

@@ -2,11 +2,11 @@
 
 #include <algorithm>
 #include <cctype>
+#include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
-#include <cstdio>
 #include <map>
-#include <regex>
 #include <sstream>
 
 namespace dora::analyze
@@ -29,6 +29,36 @@ bool
 isSpace(char c)
 {
     return std::isspace(static_cast<unsigned char>(c)) != 0;
+}
+
+bool
+isUpper(char c)
+{
+    return c >= 'A' && c <= 'Z';
+}
+
+bool
+isDigit(char c)
+{
+    return c >= '0' && c <= '9';
+}
+
+/** First index at or after @p i that is not whitespace. */
+size_t
+skipWs(const std::string &s, size_t i)
+{
+    while (i < s.size() && isSpace(s[i]))
+        ++i;
+    return i;
+}
+
+/** End of the identifier-character run starting at @p i. */
+size_t
+wordEnd(const std::string &s, size_t i)
+{
+    while (i < s.size() && wordChar(s[i]))
+        ++i;
+    return i;
 }
 
 /** Trim both ends and collapse internal whitespace runs to one ' '. */
@@ -76,6 +106,16 @@ anyPrefix(const std::string &path,
     return false;
 }
 
+bool
+containsAny(const std::string &s,
+            std::initializer_list<const char *> needles)
+{
+    for (const char *needle : needles)
+        if (s.find(needle) != std::string::npos)
+            return true;
+    return false;
+}
+
 /** `\b<name>\b` membership test without building a regex per query. */
 bool
 referencesIdentifier(const std::string &haystack, const std::string &id)
@@ -97,26 +137,37 @@ referencesIdentifier(const std::string &haystack, const std::string &id)
 // Scanner directives                                               //
 // ---------------------------------------------------------------- //
 
-/** Collect NOLINT / NOLINTNEXTLINE rule sets (dora-lint grammar). */
+/**
+ * Collect `NOLINT[NEXTLINE][(id, id...)]` directives from comment
+ * text. An unclosed rule list counts as a bare NOLINT.
+ */
 void
 applyNolintDirectives(const std::string &comment_text, size_t line_idx,
                       ScannedUnit &unit)
 {
-    static const std::regex directive_re(
-        R"(NOLINT(NEXTLINE)?(\(([^)]*)\))?)");
-    for (auto it = std::sregex_iterator(comment_text.begin(),
-                                        comment_text.end(),
-                                        directive_re);
-         it != std::sregex_iterator(); ++it) {
-        const bool next_line = (*it)[1].matched;
+    size_t pos = 0;
+    while ((pos = comment_text.find("NOLINT", pos)) != std::string::npos) {
+        pos += 6;
+        const bool next_line =
+            comment_text.compare(pos, 8, "NEXTLINE") == 0;
+        if (next_line)
+            pos += 8;
+        const size_t close = pos < comment_text.size() &&
+                comment_text[pos] == '('
+            ? comment_text.find(')', pos)
+            : std::string::npos;
+        const std::string ids = close == std::string::npos
+            ? ""
+            : comment_text.substr(pos + 1, close - pos - 1);
+        if (close != std::string::npos)
+            pos = close + 1;
         const size_t target = line_idx + (next_line ? 1 : 0);
         if (target >= unit.nolint.size())
             continue;
-        if (!(*it)[2].matched) {
+        if (close == std::string::npos) {
             unit.nolint[target].insert("*");
             continue;
         }
-        std::string ids = (*it)[3].str();
         std::string id;
         std::istringstream stream(ids);
         while (std::getline(stream, id, ',')) {
@@ -134,15 +185,26 @@ void
 applyAnnotations(const std::string &comment_text, size_t line_idx,
                  ScannedUnit &unit)
 {
-    static const std::regex note_re(
-        R"(dora:([A-Za-z][A-Za-z0-9-]*)\(([^)]*)\))");
-    for (auto it = std::sregex_iterator(comment_text.begin(),
-                                        comment_text.end(), note_re);
-         it != std::sregex_iterator(); ++it) {
-        if (line_idx >= unit.notes.size())
+    const std::string &t = comment_text;
+    size_t pos = 0;
+    while ((pos = t.find("dora:", pos)) != std::string::npos) {
+        pos += 5;
+        size_t end = pos;
+        while (end < t.size() &&
+               (std::isalnum(static_cast<unsigned char>(t[end])) ||
+                (end > pos && t[end] == '-')))
+            ++end;
+        if (end == pos || isDigit(t[pos]) || end >= t.size() ||
+            t[end] != '(')
             continue;
-        unit.notes[line_idx].push_back(
-            Annotation{(*it)[1].str(), collapseWs((*it)[2].str())});
+        const size_t close = t.find(')', end);
+        if (close == std::string::npos)
+            continue;
+        if (line_idx < unit.notes.size())
+            unit.notes[line_idx].push_back(
+                Annotation{t.substr(pos, end - pos),
+                           collapseWs(t.substr(end + 1, close - end - 1))});
+        pos = close + 1;
     }
 }
 
@@ -197,6 +259,7 @@ scanUnit(std::string path, const std::string &content)
     State state = State::Code;
     std::string code_line, text_line, comment_line, raw_delim;
     size_t line_idx = 0;
+    bool lane_region = false;
     // In-flight string literal (may span lines for raw strings).
     size_t lit_line = 0, lit_col = 0;
     std::string lit_value;
@@ -204,12 +267,23 @@ scanUnit(std::string path, const std::string &content)
     auto flush_line = [&]() {
         applyNolintDirectives(comment_line, line_idx, unit);
         applyAnnotations(comment_line, line_idx, unit);
+        if (comment_line.find("dora:lane-kernel-begin") !=
+            std::string::npos)
+            lane_region = true;
+        unit.laneKernel.push_back(lane_region ? 1 : 0);
+        if (comment_line.find("dora:lane-kernel-end") != std::string::npos)
+            lane_region = false;
         unit.code.push_back(code_line);
         unit.text.push_back(text_line);
         code_line.clear();
         text_line.clear();
         comment_line.clear();
         ++line_idx;
+    };
+    // One source char: @p code_c to the code view, @p text_c to text.
+    auto put = [&](char code_c, char text_c) {
+        code_line += code_c;
+        text_line += text_c;
     };
     auto begin_literal = [&]() {
         lit_line = line_idx;
@@ -234,30 +308,19 @@ scanUnit(std::string path, const std::string &content)
         }
         switch (state) {
           case State::Code:
-            if (c == '/' && next == '/') {
-                state = State::LineComment;
-                code_line += "  ";
-                text_line += "  ";
-                ++i;
-            } else if (c == '/' && next == '*') {
-                state = State::BlockComment;
-                code_line += "  ";
-                text_line += "  ";
+            if (c == '/' && (next == '/' || next == '*')) {
+                state = next == '/' ? State::LineComment
+                                    : State::BlockComment;
+                put(' ', ' ');
+                put(' ', ' ');
                 ++i;
             } else if (c == '"' && i > 0 && content[i - 1] == 'R' &&
-                       (i < 2 ||
-                        !(std::isalnum(static_cast<unsigned char>(
-                              content[i - 2])) ||
-                          content[i - 2] == '_') ||
-                        content[i - 2] == 'u' ||
-                        content[i - 2] == 'U' ||
-                        content[i - 2] == 'L' ||
-                        content[i - 2] == '8')) {
+                       (i < 2 || !wordChar(content[i - 2]) ||
+                        std::strchr("uUL8", content[i - 2]))) {
                 // R"delim( ... )delim" — capture the delimiter.
                 state = State::RawString;
                 begin_literal();
-                code_line += '"';
-                text_line += '"';
+                put('"', '"');
                 raw_delim.clear();
                 while (i + 1 < n && content[i + 1] != '(' &&
                        content[i + 1] != '\n') {
@@ -266,84 +329,59 @@ scanUnit(std::string path, const std::string &content)
                 }
                 if (i + 1 < n && content[i + 1] == '(')
                     ++i;
-            } else if (c == '"') {
-                state = State::String;
-                begin_literal();
-                code_line += '"';
-                text_line += '"';
-            } else if (c == '\'') {
-                state = State::Char;
-                code_line += '\'';
-                text_line += '\'';
             } else {
-                code_line += c;
-                text_line += c;
+                if (c == '"' || c == '\'')
+                    state = c == '"' ? State::String : State::Char;
+                if (c == '"')
+                    begin_literal();
+                put(c, c);
             }
             break;
           case State::LineComment:
-            comment_line += c;
-            code_line += ' ';
-            text_line += ' ';
-            break;
           case State::BlockComment:
-            if (c == '*' && next == '/') {
+            if (state == State::BlockComment && c == '*' && next == '/') {
                 state = State::Code;
-                code_line += "  ";
-                text_line += "  ";
+                put(' ', ' ');
+                put(' ', ' ');
                 ++i;
             } else {
                 comment_line += c;
-                code_line += ' ';
-                text_line += ' ';
+                put(' ', ' ');
             }
             break;
           case State::String:
+          case State::Char: {
+            // Char literal contents land in lit_value too; it is
+            // reset by the next begin_literal and never recorded.
+            const char quote = state == State::String ? '"' : '\'';
             if (c == '\\' && next != '\0' && next != '\n') {
-                code_line += "  ";
-                text_line += c;
-                text_line += next;
+                put(' ', c);
+                put(' ', next);
                 lit_value += c;
                 lit_value += next;
                 ++i;
-            } else if (c == '"') {
+            } else if (c == quote) {
                 state = State::Code;
-                code_line += '"';
-                text_line += '"';
-                end_literal();
+                put(c, c);
+                if (quote == '"')
+                    end_literal();
             } else {
-                code_line += ' ';
-                text_line += c;
+                put(' ', c);
                 lit_value += c;
             }
             break;
-          case State::Char:
-            if (c == '\\' && next != '\0' && next != '\n') {
-                code_line += "  ";
-                text_line += c;
-                text_line += next;
-                ++i;
-            } else if (c == '\'') {
-                state = State::Code;
-                code_line += '\'';
-                text_line += '\'';
-            } else {
-                code_line += ' ';
-                text_line += c;
-            }
-            break;
+          }
           case State::RawString: {
             // Close only on )delim" — otherwise blank the content.
             const std::string close = ")" + raw_delim + "\"";
             if (c == ')' &&
                 content.compare(i, close.size(), close) == 0) {
-                code_line += '"';
-                text_line += '"';
+                put('"', '"');
                 i += close.size() - 1;
                 state = State::Code;
                 end_literal();
             } else {
-                code_line += ' ';
-                text_line += c;
+                put(' ', c);
                 lit_value += c;
             }
             break;
@@ -352,12 +390,6 @@ scanUnit(std::string path, const std::string &content)
     }
     if (!code_line.empty() || !comment_line.empty())
         flush_line();
-    while (unit.nolint.size() < unit.code.size())
-        unit.nolint.push_back({});
-    while (unit.notes.size() < unit.code.size())
-        unit.notes.push_back({});
-    while (unit.strings.size() < unit.code.size())
-        unit.strings.push_back({});
     return unit;
 }
 
@@ -369,6 +401,41 @@ namespace
 {
 
 /**
+ * Replace every span of @p s that @p spanEnd accepts with one space,
+ * scanning left to right. @p spanEnd returns the end of the span
+ * starting at the given index, or npos when none starts there.
+ */
+template <typename SpanEnd>
+std::string
+blankSpans(const std::string &s, SpanEnd spanEnd)
+{
+    std::string out;
+    out.reserve(s.size());
+    for (size_t i = 0; i < s.size();) {
+        const size_t end = spanEnd(s, i);
+        if (end == std::string::npos) {
+            out += s[i++];
+        } else {
+            out += ' ';
+            i = end;
+        }
+    }
+    return out;
+}
+
+/** End of the `(...)` group (no nested parens) opening at @p i. */
+size_t
+flatParenEnd(const std::string &s, size_t i)
+{
+    if (i >= s.size() || s[i] != '(')
+        return std::string::npos;
+    const size_t close = s.find_first_of("()", i + 1);
+    return close != std::string::npos && s[close] == ')'
+        ? close + 1
+        : std::string::npos;
+}
+
+/**
  * Remove constructs that confuse statement classification: [[...]]
  * attributes, alignas(...), and UPPER_CASE macro invocations (thread-
  * safety annotations like DORA_GUARDED_BY(mu_), test macros).
@@ -376,18 +443,37 @@ namespace
 std::string
 stripDeclNoise(const std::string &s)
 {
-    static const std::regex attr_re(R"(\[\[[^\]]*\]\])");
-    static const std::regex alignas_re(R"(\balignas\s*\([^()]*\))");
-    static const std::regex macro_re(
-        R"(\b[A-Z][A-Z0-9_]{2,}\s*\([^()]*\))");
-    std::string out = std::regex_replace(s, attr_re, " ");
-    out = std::regex_replace(out, alignas_re, " ");
-    std::string prev;
-    // Repeat for nested macro arguments (rare, bounded).
-    do {
+    std::string out = blankSpans(s, [](const std::string &t, size_t i) {
+        if (t.compare(i, 2, "[[") != 0)
+            return std::string::npos;
+        const size_t close = t.find(']', i + 2);
+        return close != std::string::npos && close + 1 < t.size() &&
+                t[close + 1] == ']'
+            ? close + 2
+            : std::string::npos;
+    });
+    out = blankSpans(out, [](const std::string &t, size_t i) {
+        if ((i > 0 && wordChar(t[i - 1])) ||
+            t.compare(i, 7, "alignas") != 0)
+            return std::string::npos;
+        return flatParenEnd(t, skipWs(t, i + 7));
+    });
+    // UPPER_CASE macro calls, repeated for nested arguments (rare,
+    // bounded).
+    auto macro_end = [](const std::string &t, size_t i) {
+        if (!isUpper(t[i]) || (i > 0 && wordChar(t[i - 1])))
+            return std::string::npos;
+        size_t end = i + 1;
+        while (end < t.size() &&
+               (isUpper(t[end]) || isDigit(t[end]) || t[end] == '_'))
+            ++end;
+        return end - i < 3 ? std::string::npos
+                           : flatParenEnd(t, skipWs(t, end));
+    };
+    for (std::string prev; prev != out;) {
         prev = out;
-        out = std::regex_replace(out, macro_re, " ");
-    } while (out != prev);
+        out = blankSpans(out, macro_end);
+    }
     return out;
 }
 
@@ -593,6 +679,30 @@ validFunctionTail(const std::string &tail)
     return true;
 }
 
+/**
+ * Start of the trailing `[..]` array extents of @p s (with the
+ * whitespace before them), or s.size() when it has none.
+ */
+size_t
+trailingExtents(const std::string &s)
+{
+    for (size_t start = 0; start < s.size(); ++start) {
+        bool extent = false;
+        for (size_t i = skipWs(s, start); i < s.size();
+             i = skipWs(s, i)) {
+            const size_t close =
+                s[i] == '[' ? s.find(']', i + 1) : std::string::npos;
+            extent = close != std::string::npos;
+            if (!extent)
+                break;
+            i = close + 1;
+        }
+        if (extent)
+            return start;
+    }
+    return s.size();
+}
+
 /** Split on top-level commas (outside (), <>, []). */
 std::vector<std::string>
 splitTopLevel(const std::string &s)
@@ -659,7 +769,7 @@ parseUnit(const ScannedUnit &unit, TreeModel &model)
         return nullptr;
     };
 
-    auto classifyBrace = [&](int line_no) {
+    auto classifyBrace = [&]() {
         const std::string s = collapseWs(
             stripTemplateHeader(collapseWs(stripDeclNoise(stmt))));
         const std::string tok = firstToken(s);
@@ -674,14 +784,16 @@ parseUnit(const ScannedUnit &unit, TreeModel &model)
             stmt.clear();
             return;
         }
-        static const std::regex struct_re(
-            R"(^(?:struct|class)\s+([A-Za-z_]\w*))");
-        std::smatch m;
+        // `struct Name` / `class Name` at the very start (s is
+        // whitespace-collapsed).
+        const size_t name_at = tok.size() + 1;
         if ((tok == "struct" || tok == "class") &&
-            std::regex_search(s, m, struct_re)) {
+            s.compare(0, name_at, tok + " ") == 0 && name_at < s.size() &&
+            wordChar(s[name_at]) && !isDigit(s[name_at])) {
+            const std::string name =
+                s.substr(name_at, wordEnd(s, name_at) - name_at);
             StructDecl decl;
-            decl.name = outer ? outer->name + "::" + m[1].str()
-                              : m[1].str();
+            decl.name = outer ? outer->name + "::" + name : name;
             decl.path = unit.path;
             decl.line = stmt_line;
             model.structs.push_back(std::move(decl));
@@ -719,7 +831,6 @@ parseUnit(const ScannedUnit &unit, TreeModel &model)
         }
         stack.push_back({ParseScope::Block, 0, 1});
         stmt.clear();
-        (void)line_no;
     };
 
     auto finishFunction = [&]() {
@@ -760,8 +871,7 @@ parseUnit(const ScannedUnit &unit, TreeModel &model)
                 continue;
             }
             // Strip trailing array extents and bitfield widths.
-            static const std::regex array_re(R"((\s*\[[^\]]*\])+\s*$)");
-            chunk = std::regex_replace(chunk, array_re, "");
+            chunk.resize(trailingExtents(chunk));
             int angle = 0;
             for (size_t i = 0; i < chunk.size(); ++i) {
                 const char c = chunk[i];
@@ -776,12 +886,20 @@ parseUnit(const ScannedUnit &unit, TreeModel &model)
                     break;
                 }
             }
-            static const std::regex name_re(R"(([A-Za-z_]\w*)\s*$)");
-            std::smatch m;
-            if (!std::regex_search(chunk, m, name_re))
+            // The declarator: the last identifier (digits do not
+            // start one).
+            size_t end = chunk.size();
+            while (end > 0 && isSpace(chunk[end - 1]))
+                --end;
+            size_t begin = end;
+            while (begin > 0 && wordChar(chunk[begin - 1]))
+                --begin;
+            while (begin < end && isDigit(chunk[begin]))
+                ++begin;
+            if (begin == end)
                 continue;
-            decl.members.push_back(
-                MemberDecl{m[1].str(), stmt_line, end_line});
+            decl.members.push_back(MemberDecl{
+                chunk.substr(begin, end - begin), stmt_line, end_line});
         }
     };
 
@@ -829,7 +947,7 @@ parseUnit(const ScannedUnit &unit, TreeModel &model)
             }
 
             if (c == '{') {
-                classifyBrace(line_no);
+                classifyBrace();
             } else if (c == '}') {
                 if (!stack.empty())
                     stack.pop_back();
@@ -870,7 +988,8 @@ buildModel(std::vector<ScannedUnit> units)
     TreeModel model;
     model.units = std::move(units);
     for (const ScannedUnit &unit : model.units)
-        parseUnit(unit, model);
+        if (anyPrefix(unit.path, {"src/", "bench/", "tools/"}))
+            parseUnit(unit, model);
     return model;
 }
 
@@ -895,14 +1014,21 @@ qualifiedName(const FunctionDef &f)
 std::vector<std::string>
 serializationOps(const std::string &body_text)
 {
-    static const std::regex op_re(
-        R"((?:\b\w+\s*\.\s*)?\b(beginSection|put[A-Z]\w*)\s*\()");
     std::vector<std::string> ops;
-    for (auto it = std::sregex_iterator(body_text.begin(),
-                                        body_text.end(), op_re);
-         it != std::sregex_iterator(); ++it) {
-        const size_t arg_start =
-            static_cast<size_t>(it->position(0) + it->length(0));
+    for (size_t at = 0; at < body_text.size(); ++at) {
+        if (at > 0 && wordChar(body_text[at - 1]))
+            continue;
+        const size_t name_end = wordEnd(body_text, at);
+        const std::string name = body_text.substr(at, name_end - at);
+        const bool is_op = name == "beginSection" ||
+            (name.size() > 3 && name.compare(0, 3, "put") == 0 &&
+             isUpper(name[3]));
+        const size_t paren = skipWs(body_text, name_end);
+        if (!is_op || paren >= body_text.size() ||
+            body_text[paren] != '(')
+            continue;
+        const size_t arg_start = paren + 1;
+        at = paren;
         int depth = 1;
         bool in_str = false, in_chr = false;
         size_t end = std::string::npos;
@@ -936,7 +1062,7 @@ serializationOps(const std::string &body_text)
         if (end == std::string::npos)
             continue;
         ops.push_back(
-            (*it)[1].str() + "(" +
+            name + "(" +
             collapseWs(body_text.substr(arg_start, end - arg_start)) +
             ")");
     }
@@ -987,8 +1113,8 @@ struct AnchoredFormat
     const char *name;
     const char *file;          //!< the writer's TU
     const char *function;      //!< qualified writer name
-    const char *versionFile;   //!< where the version token lives
-    std::vector<const char *> versionPatterns;  //!< one capture each
+    const char *versionFile;   //!< where the version constants live
+    std::vector<const char *> versionConstants;  //!< `NAME = value;`
 };
 
 const std::vector<AnchoredFormat> &
@@ -996,19 +1122,41 @@ anchoredFormats()
 {
     static const std::vector<AnchoredFormat> table = {
         {"wire-frame", "src/exec/proc/wire.cc", "encodeFrame",
-         "src/exec/proc/wire.cc", {R"(kMagic\s*=\s*([^;]+);)"}},
+         "src/exec/proc/wire.cc", {"kMagic"}},
         {"journal-header", "src/exec/proc/journal.cc", "encodeHeader",
          "src/exec/proc/journal.cc",
-         {R"(kJournalMagic\s*=\s*([^;]+);)",
-          R"(kJournalVersion\s*=\s*([^;]+);)"}},
+         {"kJournalMagic", "kJournalVersion"}},
         {"journal-record", "src/exec/proc/journal.cc", "encodeRecord",
-         "src/exec/proc/journal.cc",
-         {R"(kRecordMagic\s*=\s*([^;]+);)"}},
+         "src/exec/proc/journal.cc", {"kRecordMagic"}},
         {"model-bundle", "src/dora/model_bundle.cc",
          "ModelBundle::serialize", "src/dora/model_bundle.hh",
-         {R"(kFormatVersion\s*=\s*([^;]+);)"}},
+         {"kFormatVersion"}},
     };
     return table;
+}
+
+/**
+ * The value of the first `NAME = value;` in @p text, whitespace-
+ * collapsed (the value may span lines). False when there is none.
+ */
+bool
+constantValue(const std::string &text, const std::string &name,
+              std::string *value)
+{
+    for (size_t pos = text.find(name); pos != std::string::npos;
+         pos = text.find(name, pos + 1)) {
+        const size_t eq = skipWs(text, pos + name.size());
+        if (eq >= text.size() || text[eq] != '=')
+            continue;
+        const size_t semi = text.find(';', eq + 1);
+        if (semi == std::string::npos)
+            return false;
+        if (semi == eq + 1)
+            continue;
+        *value = collapseWs(text.substr(eq + 1, semi - eq - 1));
+        return true;
+    }
+    return false;
 }
 
 const ScannedUnit *
@@ -1111,19 +1259,18 @@ computeLayouts(const TreeModel &model, std::vector<Finding> *problems)
         const ScannedUnit *vu = findUnit(model, fmt.versionFile);
         const std::string vtext = vu ? joinedText(*vu) : "";
         std::string version;
-        for (const char *pattern : fmt.versionPatterns) {
-            std::smatch m;
-            if (vu && std::regex_search(vtext, m,
-                                        std::regex(pattern))) {
+        for (const char *constant : fmt.versionConstants) {
+            std::string value;
+            if (vu && constantValue(vtext, constant, &value)) {
                 if (!version.empty())
                     version += "|";
-                version += collapseWs(m[1].str());
+                version += value;
             } else if (problems) {
                 problems->push_back(Finding{
                     fmt.versionFile, 1, "dora-ser-version",
                     std::string("anchored serialized format '") +
-                        fmt.name + "': version token pattern '" +
-                        pattern + "' not found in " + fmt.versionFile});
+                        fmt.name + "': version constant '" + constant +
+                        " = ...;' not found in " + fmt.versionFile});
             }
         }
         rec.version = version;
@@ -1173,7 +1320,15 @@ jsonEscape(const std::string &text)
     return out;
 }
 
-/** Strict parser for the JSON subset renderManifest emits. */
+/** A parsed JSON value: strings and scalars keep their text. */
+struct JsonValue
+{
+    std::string text;
+    std::vector<JsonValue> items;
+    std::vector<std::pair<std::string, JsonValue>> members;
+};
+
+/** Recursive-descent JSON reader for the manifest. */
 struct JsonCursor
 {
     const std::string &s;
@@ -1239,42 +1394,44 @@ struct JsonCursor
             *out = std::move(value);
         return true;
     }
-    bool skipValue()
+    bool parseValue(JsonValue *out)
     {
         ws();
         if (i >= s.size())
             return fail("unexpected end of input");
         const char c = s[i];
         if (c == '"')
-            return parseString(nullptr);
+            return parseString(&out->text);
         if (c == '{' || c == '[') {
             const char close = c == '{' ? '}' : ']';
             ++i;
-            ws();
             if (peek(close)) {
                 ++i;
                 return true;
             }
             for (;;) {
-                if (c == '{') {
-                    if (!parseString(nullptr) || !expect(':'))
-                        return false;
-                }
-                if (!skipValue())
+                std::string key;
+                JsonValue value;
+                if (c == '{' && (!parseString(&key) || !expect(':')))
                     return false;
-                ws();
-                if (peek(',')) {
-                    ++i;
-                    continue;
-                }
-                return expect(close);
+                if (!parseValue(&value))
+                    return false;
+                if (c == '{')
+                    out->members.emplace_back(key, std::move(value));
+                else
+                    out->items.push_back(std::move(value));
+                if (!peek(','))
+                    return expect(close);
+                ++i;
             }
         }
         // number / true / false / null
+        const size_t start = i;
         while (i < s.size() && (wordChar(s[i]) || s[i] == '-' ||
                                 s[i] == '+' || s[i] == '.'))
             ++i;
-        return true;
+        out->text = s.substr(start, i - start);
+        return i > start || fail("unexpected character");
     }
 };
 
@@ -1316,86 +1473,532 @@ parseManifest(const std::string &json,
               std::vector<LayoutRecord> *records, std::string *error)
 {
     JsonCursor cur{json, 0, {}};
+    JsonValue root;
     records->clear();
-    auto done = [&](bool ok) {
-        if (!ok && error)
+    if (!cur.peek('{') || !cur.parseValue(&root)) {
+        if (error)
             *error = cur.err.empty() ? "malformed manifest" : cur.err;
-        return ok;
-    };
-    if (!cur.expect('{'))
-        return done(false);
-    if (cur.peek('}'))
-        return done(true);
-    for (;;) {
-        std::string key;
-        if (!cur.parseString(&key) || !cur.expect(':'))
-            return done(false);
-        if (key != "formats") {
-            if (!cur.skipValue())
-                return done(false);
-        } else {
-            if (!cur.expect('['))
-                return done(false);
-            while (!cur.peek(']')) {
-                if (!cur.expect('{'))
-                    return done(false);
-                LayoutRecord rec;
-                while (!cur.peek('}')) {
-                    std::string field;
-                    if (!cur.parseString(&field) || !cur.expect(':'))
-                        return done(false);
-                    if (field == "name") {
-                        if (!cur.parseString(&rec.name))
-                            return done(false);
-                    } else if (field == "file") {
-                        if (!cur.parseString(&rec.file))
-                            return done(false);
-                    } else if (field == "function") {
-                        if (!cur.parseString(&rec.function))
-                            return done(false);
-                    } else if (field == "version") {
-                        if (!cur.parseString(&rec.version))
-                            return done(false);
-                    } else if (field == "layout") {
-                        if (!cur.expect('['))
-                            return done(false);
-                        while (!cur.peek(']')) {
-                            std::string op;
-                            if (!cur.parseString(&op))
-                                return done(false);
-                            rec.layout.push_back(std::move(op));
-                            if (cur.peek(','))
-                                ++cur.i;
-                        }
-                        ++cur.i;  // ']'
-                    } else {
-                        if (!cur.skipValue())
-                            return done(false);
-                    }
-                    if (cur.peek(','))
-                        ++cur.i;
-                }
-                ++cur.i;  // '}'
-                records->push_back(std::move(rec));
-                if (cur.peek(','))
-                    ++cur.i;
-            }
-            ++cur.i;  // ']'
-        }
-        if (cur.peek(',')) {
-            ++cur.i;
-            continue;
-        }
-        return done(cur.expect('}'));
+        return false;
     }
+    for (const auto &[key, formats] : root.members) {
+        if (key != "formats")
+            continue;
+        for (const JsonValue &format : formats.items) {
+            LayoutRecord rec;
+            for (const auto &[field, value] : format.members) {
+                if (field == "name")
+                    rec.name = value.text;
+                else if (field == "file")
+                    rec.file = value.text;
+                else if (field == "function")
+                    rec.function = value.text;
+                else if (field == "version")
+                    rec.version = value.text;
+                else if (field == "layout")
+                    for (const JsonValue &op : value.items)
+                        rec.layout.push_back(op.text);
+            }
+            records->push_back(std::move(rec));
+        }
+    }
+    return true;
 }
 
 // ---------------------------------------------------------------- //
-// Rules                                                            //
+// Line rules: one file's code view at a time                       //
 // ---------------------------------------------------------------- //
 
 namespace
 {
+
+bool
+fileMentions(const ScannedUnit &u, const char *token)
+{
+    for (const auto &line : u.code)
+        if (line.find(token) != std::string::npos)
+            return true;
+    return false;
+}
+
+/**
+ * True when one of @p names is called in @p s: the name, optional
+ * whitespace, then '(', not glued to a preceding identifier character
+ * (nor to a '.' unless @p member_calls, so `x.time()` is not `time()`).
+ */
+bool
+callsAny(const std::string &s, std::initializer_list<const char *> names,
+         bool member_calls = true)
+{
+    for (const char *name : names) {
+        const size_t len = std::strlen(name);
+        for (size_t pos = s.find(name); pos != std::string::npos;
+             pos = s.find(name, pos + 1)) {
+            if (pos > 0 && (wordChar(s[pos - 1]) ||
+                            (!member_calls && s[pos - 1] == '.')))
+                continue;
+            const size_t paren = skipWs(s, pos + len);
+            if (paren < s.size() && s[paren] == '(')
+                return true;
+        }
+    }
+    return false;
+}
+
+bool
+inSimulationCode(const ScannedUnit &u)
+{
+    return hasPrefix(u.path, "src/") &&
+        !anyPrefix(u.path, {"src/exec/", "src/obs/"});
+}
+
+bool
+inSrcOrBench(const ScannedUnit &u)
+{
+    return anyPrefix(u.path, {"src/", "bench/"});
+}
+
+bool
+readsWallClock(const std::string &s)
+{
+    return containsAny(s, {"system_clock", "steady_clock",
+                           "high_resolution_clock", "gettimeofday",
+                           "clock_gettime", "timespec_get", "__DATE__",
+                           "__TIME__", "__TIMESTAMP__"}) ||
+        callsAny(s,
+                 {"time", "clock", "localtime", "gmtime", "ctime",
+                  "asctime", "strftime", "mktime"},
+                 false);
+}
+
+/** `std::unordered_{map,set,multimap,multiset}` spelled out. */
+bool
+namesUnorderedContainer(const std::string &s)
+{
+    const std::string prefix = "std::unordered_";
+    for (size_t pos = s.find(prefix); pos != std::string::npos;
+         pos = s.find(prefix, pos + 1)) {
+        const size_t b = pos + prefix.size();
+        const std::string kind = s.substr(b, wordEnd(s, b) - b);
+        if (kind == "map" || kind == "set" || kind == "multimap" ||
+            kind == "multiset")
+            return true;
+    }
+    return false;
+}
+
+/** A `g_name` definition: `g_x = ...`, `g_x{...}` or `g_x;`. */
+bool
+definesGlobal(const std::string &s)
+{
+    for (size_t pos = s.find("g_"); pos != std::string::npos;
+         pos = s.find("g_", pos + 1)) {
+        const size_t end = wordEnd(s, pos + 2);
+        if ((pos > 0 && wordChar(s[pos - 1])) || end == pos + 2)
+            continue;
+        const size_t i = skipWs(s, end);
+        if (i < s.size() &&
+            (s[i] == '{' || s[i] == ';' ||
+             (s[i] == '=' && i + 1 < s.size() && s[i + 1] != '=')))
+            return true;
+    }
+    return false;
+}
+
+/** Position of `static` + whitespace not glued to a word, or npos. */
+size_t
+staticKeyword(const std::string &s)
+{
+    for (size_t pos = s.find("static"); pos != std::string::npos;
+         pos = s.find("static", pos + 1))
+        if ((pos == 0 || isSpace(s[pos - 1])) && pos + 6 < s.size() &&
+            isSpace(s[pos + 6]))
+            return pos;
+    return std::string::npos;
+}
+
+/**
+ * Mutable file-scope/static data defined on line @p i: a `static` or
+ * `g_` definition that is not atomic, guarded, constant, thread-local,
+ * a reference binding, or a function declaration.
+ */
+bool
+definesMutableGlobal(const ScannedUnit &u, size_t i)
+{
+    // For `static` declarations analyze from the keyword onward (a
+    // one-line function body may precede it); for g_ globals analyze
+    // the whole line (the type, e.g. std::atomic, usually precedes
+    // the name).
+    const size_t keyword = staticKeyword(u.code[i]);
+    if (keyword == std::string::npos && !definesGlobal(u.code[i]))
+        return false;
+    std::string stmt = u.code[i].substr(
+        keyword == std::string::npos ? 0 : keyword);
+    // Join continuation lines until the statement's shape is
+    // decidable (`static Foo\n  bar(...);` spans two lines).
+    for (size_t j = i + 1; j < u.code.size() && j < i + 4 &&
+         stmt.find_first_of("(={;") == std::string::npos;
+         ++j)
+        stmt += " " + u.code[j];
+    for (const char *word :
+         {"const", "constexpr", "constinit", "thread_local", "once_flag"})
+        if (referencesIdentifier(stmt, word))
+            return false;
+    if (containsAny(stmt, {"atomic", "mutex", "Mutex", "GUARDED_BY"}))
+        return false;
+    // `static T &name` binds a reference; it owns no state.
+    for (size_t pos = stmt.find("static"); pos != std::string::npos;
+         pos = stmt.find("static", pos + 1)) {
+        const size_t stop = pos + 6 < stmt.size() && isSpace(stmt[pos + 6])
+            ? stmt.find_first_of("=;(&", pos + 6)
+            : std::string::npos;
+        if (stop != std::string::npos && stmt[stop] == '&')
+            return false;
+    }
+    // A '(' before any '=' marks a function declaration/definition
+    // (`static Foo bar(...)`), not a data definition.
+    const size_t paren = stmt.find('(');
+    const size_t eq = stmt.find('=');
+    return paren == std::string::npos ||
+        (eq != std::string::npos && eq < paren);
+}
+
+/** A `[std::]mutex name;`-style member (or dora::Mutex). */
+bool
+declaresMutexMember(const std::string &s)
+{
+    static const char *const types[] = {
+        "std::mutex",       "mutex",        "std::recursive_mutex",
+        "recursive_mutex",  "std::shared_mutex", "shared_mutex",
+        "std::timed_mutex", "timed_mutex",  "dora::Mutex",
+        "Mutex",
+    };
+    for (size_t at = 0; at < s.size(); ++at) {
+        if (at > 0 && !isSpace(s[at - 1]))
+            continue;
+        for (const char *type : types) {
+            const size_t len = std::strlen(type);
+            if (s.compare(at, len, type) != 0 || at + len >= s.size() ||
+                !isSpace(s[at + len]))
+                continue;
+            const size_t name = skipWs(s, at + len);
+            const size_t name_end = wordEnd(s, name);
+            const size_t semi = skipWs(s, name_end);
+            if (name_end > name && semi < s.size() && s[semi] == ';')
+                return true;
+        }
+    }
+    return false;
+}
+
+/**
+ * A `catch (...)` on line @p i whose handler block neither rethrows,
+ * captures nor logs the exception.
+ */
+bool
+swallowsException(const ScannedUnit &u, size_t i)
+{
+    const std::string &s = u.code[i];
+    size_t clause_end = std::string::npos;
+    for (size_t pos = s.find("catch");
+         pos != std::string::npos && clause_end == std::string::npos;
+         pos = s.find("catch", pos + 1)) {
+        const size_t open = skipWs(s, pos + 5);
+        const size_t dots = skipWs(s, open + 1);
+        const size_t close = skipWs(s, dots + 3);
+        if (open < s.size() && s[open] == '(' &&
+            s.compare(dots, 3, "...") == 0 && close < s.size() &&
+            s[close] == ')')
+            clause_end = close + 1;
+    }
+    if (clause_end == std::string::npos)
+        return false;
+    // Collect the handler block: everything from the catch up to the
+    // brace that balances the handler's opening '{'.
+    std::string block;
+    int depth = 0;
+    bool entered = false, closed = false;
+    size_t k = clause_end;
+    for (size_t j = i; j < u.code.size() && !closed; ++j, k = 0) {
+        for (; k < u.code[j].size() && !closed; ++k) {
+            const char c = u.code[j][k];
+            block += c;
+            if (c == '{') {
+                ++depth;
+                entered = true;
+            } else if (c == '}' && entered && --depth <= 0) {
+                closed = true;
+            }
+        }
+        block += '\n';
+    }
+    return !referencesIdentifier(block, "throw") &&
+        !containsAny(block, {"rethrow_exception", "current_exception",
+                             "std::exit"}) &&
+        !callsAny(block, {"warn", "fatal", "panic", "inform", "debugLog",
+                          "abort"});
+}
+
+/**
+ * Line @p i starts a statement with a try[A-Z]*() call, optionally
+ * behind a `(void)` cast and an object/scope chain (`a.b->c::tryX(`).
+ * Calls feeding if/return/assignments never start the statement.
+ */
+bool
+discardsTryResult(const ScannedUnit &u, size_t i)
+{
+    const std::string &s = u.code[i];
+    size_t at = skipWs(s, 0);
+    if (at < s.size() && s[at] == '(') {
+        const size_t v = skipWs(s, at + 1);
+        const size_t close = skipWs(s, v + 4);
+        if (s.compare(v, 4, "void") == 0 && close < s.size() &&
+            s[close] == ')')
+            at = skipWs(s, close + 1);
+    }
+    for (;;) {
+        const size_t end = wordEnd(s, at);
+        const size_t next = skipWs(s, end);
+        if (end == at) {
+            return false;
+        } else if (s.compare(next, 2, "::") == 0 ||
+                   s.compare(next, 2, "->") == 0) {
+            at = skipWs(s, next + 2);
+        } else if (next < s.size() && s[next] == '.') {
+            at = skipWs(s, next + 1);
+        } else if (end - at > 3 && s.compare(at, 3, "try") == 0 &&
+                   isUpper(s[at + 3]) && next < s.size() &&
+                   s[next] == '(') {
+            break;
+        } else {
+            return false;
+        }
+    }
+    // Only a statement-initial call discards the result: the previous
+    // non-blank code line must have ended a statement or opened a
+    // block/control body. This also skips function definitions (repo
+    // style puts the return type on the line above the name).
+    for (size_t j = i; j-- > 0;) {
+        const size_t last = u.code[j].find_last_not_of(" \t");
+        if (last != std::string::npos)
+            return std::string(";{})").find(u.code[j][last]) !=
+                std::string::npos;
+    }
+    return true;
+}
+
+/**
+ * Cache-hostile access in a file with lane kernels: std::vector<bool>
+ * anywhere, or `->` / `.at(` inside a marked region.
+ */
+bool
+breaksLaneKernel(const ScannedUnit &u, size_t i)
+{
+    const std::string &s = u.code[i];
+    for (size_t pos = s.find("std::vector<"); pos != std::string::npos;
+         pos = s.find("std::vector<", pos + 1)) {
+        const size_t b = skipWs(s, pos + 12);
+        const size_t close = skipWs(s, b + 4);
+        if (s.compare(b, 4, "bool") == 0 && close < s.size() &&
+            s[close] == '>')
+            return true;
+    }
+    if (i >= u.laneKernel.size() || !u.laneKernel[i])
+        return false;
+    if (s.find("->") != std::string::npos)
+        return true;
+    for (size_t dot = s.find('.'); dot != std::string::npos;
+         dot = s.find('.', dot + 1)) {
+        const size_t at = skipWs(s, dot + 1);
+        const size_t paren = skipWs(s, at + 2);
+        if (s.compare(at, 2, "at") == 0 && paren < s.size() &&
+            s[paren] == '(')
+            return true;
+    }
+    return false;
+}
+
+/**
+ * A rule that flags single lines of one file. `applies` scopes it to
+ * a file (the caller already limits files to src/, tests/, bench/ and
+ * tools/fleet/); `flags` tests one line of the code view.
+ */
+struct LineRule
+{
+    const char *id;
+    const char *summary;
+    bool (*applies)(const ScannedUnit &u);
+    bool (*flags)(const ScannedUnit &u, size_t line);
+    const char *message;
+};
+
+const std::vector<LineRule> &
+lineRules()
+{
+    using U = const ScannedUnit &;
+    static const std::vector<LineRule> rules = {
+        {"dora-det-rand",
+         "no unseeded/global RNG (rand, srand, std::random_device)",
+         [](U) { return true; },
+         [](U u, size_t i) {
+             return u.code[i].find("std::random_device") !=
+                 std::string::npos ||
+                 callsAny(u.code[i], {"rand", "srand", "drand48",
+                                      "lrand48", "mrand48", "random"});
+         },
+         "unseeded/global randomness breaks bit-identical replay; "
+         "derive a seeded stream from common/rng.hh"},
+        // Timing the *host* is the purpose of the execution engine's
+        // job metrics and the obs layer; simulated components must
+        // derive all time from tick arithmetic.
+        {"dora-det-wallclock",
+         "no wall-clock reads in simulation code (allow: src/exec, "
+         "src/obs)",
+         inSimulationCode,
+         [](U u, size_t i) { return readsWallClock(u.code[i]); },
+         "wall-clock input in simulation code makes results "
+         "machine/schedule-dependent; use simulated ticks "
+         "(allowlisted: src/exec, src/obs)"},
+        {"dora-det-unordered",
+         "no std::unordered_* containers in result-producing code",
+         inSimulationCode,
+         [](U u, size_t i) { return namesUnorderedContainer(u.code[i]); },
+         "unordered-container iteration order is "
+         "implementation-defined; result-producing code must use "
+         "std::map / sorted vectors (or justify with NOLINT)"},
+        {"dora-det-confighash",
+         "no wall-clock/date input in files feeding "
+         "experiment/training config hashes",
+         [](U u) { return inSrcOrBench(u) && fileMentions(u, "ConfigHash"); },
+         [](U u, size_t i) { return readsWallClock(u.code[i]); },
+         "wall-clock/date input in a file feeding "
+         "experimentConfigHash/trainingConfigHash poisons cache keys "
+         "and silently mixes incompatible runs"},
+        {"dora-conc-global-state",
+         "mutable static/global state must be atomic, mutex-guarded, "
+         "or NOLINT-justified",
+         [](U u) { return hasPrefix(u.path, "src/"); },
+         definesMutableGlobal,
+         "mutable file-scope/static state must be std::atomic, "
+         "mutex-guarded (GUARDED_BY), or NOLINT-justified"},
+        {"dora-conc-mutex-unannotated",
+         "header mutex members need GUARDED_BY-annotated fields",
+         [](U u) {
+             return hasPrefix(u.path, "src/") &&
+                 u.path.size() > 3 &&
+                 u.path.compare(u.path.size() - 3, 3, ".hh") == 0 &&
+                 !fileMentions(u, "GUARDED_BY");
+         },
+         [](U u, size_t i) { return declaresMutexMember(u.code[i]); },
+         "mutex member declared but no field in this header is "
+         "GUARDED_BY it; annotate the guarded state "
+         "(common/thread_annotations.hh) so clang -Wthread-safety can "
+         "check the locking discipline"},
+        // The log sink is the one place that may write to stderr.
+        {"dora-hyg-stream",
+         "no direct console writes from library code (log sink only)",
+         [](U u) {
+             return hasPrefix(u.path, "src/") &&
+                 u.path != "src/common/logging.cc";
+         },
+         [](U u, size_t i) {
+             return containsAny(u.code[i],
+                                {"std::cout", "std::cerr", "std::clog"}) ||
+                 callsAny(u.code[i],
+                          {"printf", "vprintf", "fprintf", "vfprintf",
+                           "puts", "fputs", "putchar", "fputc"});
+         },
+         "library code must not write to the console directly; route "
+         "through inform()/warn()/debugLog() (common/logging.hh) so "
+         "output is serialized and rate-limited"},
+        {"dora-hyg-catch-all",
+         "no catch (...) that swallows without rethrow/log",
+         inSrcOrBench, swallowsException,
+         "catch (...) must rethrow, capture, or log the exception; "
+         "silent swallowing hides injected faults and real bugs alike"},
+        {"dora-hyg-assert",
+         "no assert() guards (compiled out in Release); use "
+         "fatal()/panic()",
+         inSrcOrBench,
+         [](U u, size_t i) { return callsAny(u.code[i], {"assert"}); },
+         "assert() vanishes in Release builds (NDEBUG); invariant "
+         "guards must use fatal()/panic() (common/logging.hh) so short "
+         "sweeps and bad configs fail loudly everywhere"},
+        // tryRestore/tryDeserialize follow the snapshot/journal
+        // contract of common/snapshot.hh: failure is the return
+        // value, never an exception.
+        {"dora-rob-unchecked-try",
+         "no discarded try*() results (tryRestore/tryDeserialize "
+         "report failure by return value)",
+         inSrcOrBench, discardsTryResult,
+         "a try*() call reports failure through its return value; "
+         "discarding it turns corrupt snapshots/journals into silent "
+         "state divergence — check the result (or NOLINT with "
+         "justification)"},
+        // std::vector<bool> is a bit-packed proxy container, so the
+        // per-lane scratch buffers stop being byte-addressable. The
+        // kernels must read flat SoA arrays hoisted into locals before
+        // the loop (DESIGN.md §5g): `->` re-loads through a pointer
+        // the compiler cannot prove loop-invariant, and `.at()` adds
+        // a branch per element.
+        {"dora-perf-lane-alias",
+         "no std::vector<bool> in lane-kernel files; no ->/.at() "
+         "inside dora:lane-kernel regions",
+         [](U u) {
+             return inSrcOrBench(u) &&
+                 std::count(u.laneKernel.begin(), u.laneKernel.end(), 1);
+         },
+         breaksLaneKernel,
+         "std::vector<bool> in a lane-kernel file, or pointer member "
+         "access (->) / bounds-checked indexing (.at) inside a "
+         "lane-kernel region; use std::vector<uint8_t> or AlignedVec "
+         "and hoist fields into flat local arrays before the loop so "
+         "the kernel stays alias-free and vectorizable"},
+    };
+    return rules;
+}
+
+/** Every line rule over one unit of the line-rule scope. */
+void
+lintUnit(const ScannedUnit &u, std::vector<Finding> &out)
+{
+    if (!anyPrefix(u.path, {"src/", "tests/", "bench/", "tools/fleet/"}))
+        return;
+    for (const LineRule &rule : lineRules()) {
+        if (!rule.applies(u))
+            continue;
+        for (size_t i = 0; i < u.code.size(); ++i)
+            if (rule.flags(u, i))
+                out.push_back(Finding{u.path, static_cast<int>(i + 1),
+                                      rule.id, rule.message});
+    }
+}
+
+} // namespace
+
+// ---------------------------------------------------------------- //
+// Model rules: the cross-TU structural model                       //
+// ---------------------------------------------------------------- //
+
+namespace
+{
+
+/** @p m carries annotation @p name on a line of its declaration. */
+bool
+memberAnnotated(const ScannedUnit *unit, const MemberDecl &m,
+                const char *name)
+{
+    for (int line = m.line; unit && line <= m.endLine; ++line)
+        if (unit->hasAnnotation(line, name))
+            return true;
+    return false;
+}
+
+void
+rtrim(std::string &s)
+{
+    while (!s.empty() && isSpace(s.back()))
+        s.pop_back();
+}
 
 /**
  * dora-cov-hash: every field of a config struct under a hash
@@ -1448,12 +2051,7 @@ ruleCovHash(const TreeModel &model, std::vector<Finding> &out)
             for (const MemberDecl &m : decl.members) {
                 if (referencesIdentifier(bodies, m.name))
                     continue;
-                bool annotated = false;
-                for (int line = m.line; line <= m.endLine && unit;
-                     ++line)
-                    if (unit->hasAnnotation(line, "hash-exclude"))
-                        annotated = true;
-                if (annotated)
+                if (memberAnnotated(unit, m, "hash-exclude"))
                     continue;
                 out.push_back(Finding{
                     decl.path, m.line, "dora-cov-hash",
@@ -1502,11 +2100,7 @@ ruleCovSnapshot(const TreeModel &model, std::vector<Finding> &out)
                 referencesIdentifier(restore_body, m.name);
             if (in_snap && in_restore)
                 continue;
-            bool annotated = false;
-            for (int line = m.line; line <= m.endLine && unit; ++line)
-                if (unit->hasAnnotation(line, "snapshot-exclude"))
-                    annotated = true;
-            if (annotated)
+            if (memberAnnotated(unit, m, "snapshot-exclude"))
                 continue;
             const char *where = (!in_snap && !in_restore)
                 ? "snapshot() or tryRestore()"
@@ -1550,21 +2144,18 @@ ruleDetStreamtag(const TreeModel &model, std::vector<Finding> &out)
                     unit.text[li].substr(0, lit.col);
                 if (collapseWs(before).empty() && li > 0)
                     before = unit.text[li - 1] + " " + before;
-                while (!before.empty() && isSpace(before.back()))
-                    before.pop_back();
+                rtrim(before);
                 if (before.empty() || before.back() != '(')
                     continue;
                 before.pop_back();
-                while (!before.empty() && isSpace(before.back()))
-                    before.pop_back();
+                rtrim(before);
                 // Identifier immediately before the '('.
                 size_t w = before.size();
                 while (w > 0 && wordChar(before[w - 1]))
                     --w;
                 const std::string callee = before.substr(w);
                 std::string rest = before.substr(0, w);
-                while (!rest.empty() && isSpace(rest.back()))
-                    rest.pop_back();
+                rtrim(rest);
                 bool is_site = false;
                 if (callee == "hashLabel" || callee == "Rng") {
                     is_site = true;
@@ -1722,15 +2313,10 @@ ruleCliFlag(const TreeModel &model, std::vector<Finding> &out)
                 std::string before = text.substr(0, lit.col);
                 const size_t lit_end =
                     lit.col + lit.value.size() + 2;
-                std::string after = lit_end < text.size()
-                    ? text.substr(lit_end)
+                const std::string after = lit_end < text.size()
+                    ? text.substr(skipWs(text, lit_end))
                     : "";
-                while (!before.empty() && isSpace(before.back()))
-                    before.pop_back();
-                size_t a = 0;
-                while (a < after.size() && isSpace(after[a]))
-                    ++a;
-                after = after.substr(a);
+                rtrim(before);
                 bool compared = false;
                 if (before.size() >= 2 &&
                     (before.compare(before.size() - 2, 2, "==") == 0 ||
@@ -1784,25 +2370,36 @@ ruleCliFlag(const TreeModel &model, std::vector<Finding> &out)
 const std::vector<RuleInfo> &
 ruleCatalog()
 {
-    static const std::vector<RuleInfo> catalog = {
+    static const std::vector<RuleInfo> catalog = [] {
+        std::vector<RuleInfo> rules;
+        for (const LineRule &rule : lineRules())
+            rules.push_back({rule.id, rule.summary, true});
+        rules.insert(rules.end(), {
         {"dora-cov-hash",
          "config struct fields must be folded into their hash "
-         "function or annotated dora:hash-exclude(reason)"},
+         "function or annotated dora:hash-exclude(reason)",
+         false},
         {"dora-cov-snapshot",
          "members of classes with snapshot()/tryRestore() must "
          "round-trip through both or be annotated "
-         "dora:snapshot-exclude(reason)"},
+         "dora:snapshot-exclude(reason)",
+         false},
         {"dora-det-streamtag",
          "an RNG stream tag used at multiple call sites correlates "
-         "streams; share only with dora:stream-tag-shared(reason)"},
+         "streams; share only with dora:stream-tag-shared(reason)",
+         false},
         {"dora-ser-version",
          "serialized layouts must match tools/analyze/"
          "serialized_layouts.json; layout changes require a version "
-         "bump (--regen-manifest to bless)"},
+         "bump (--regen-manifest to bless)",
+         false},
         {"dora-cli-flag",
          "--flag literals must be parsed via the common/cli.hh "
-         "helpers, not by hand"},
-    };
+         "helpers, not by hand",
+         false},
+        });
+        return rules;
+    }();
     return catalog;
 }
 
@@ -1810,6 +2407,8 @@ std::vector<Finding>
 analyzeModel(const TreeModel &model, const std::string *manifestJson)
 {
     std::vector<Finding> raw;
+    for (const ScannedUnit &unit : model.units)
+        lintUnit(unit, raw);
     ruleCovHash(model, raw);
     ruleCovSnapshot(model, raw);
     ruleDetStreamtag(model, raw);
@@ -1854,8 +2453,8 @@ analyzeModel(const TreeModel &model, const std::string *manifestJson)
 const std::vector<std::string> &
 defaultSubdirs()
 {
-    static const std::vector<std::string> dirs = {"src", "bench",
-                                                  "tools"};
+    static const std::vector<std::string> dirs = {"src", "tests",
+                                                  "bench", "tools"};
     return dirs;
 }
 

@@ -1,53 +1,38 @@
 /**
  * @file
- * dora-analyze: a cross-TU structural analyzer for the DORA tree.
+ * dora-analyze: the project-invariant checker for the DORA tree.
  *
- * dora-lint (tools/lint) matches single lines against regexes; a
- * whole class of past bugs is invisible at that granularity: a config
- * field added but never folded into the config hash (PR 3, PR 8), a
- * snapshot() member missing from tryRestore() (breaks proc-tier
- * resume bit-identity), two RNG streams accidentally seeded from the
- * same tag (the PR 3 page/corun correlation), and a serialized layout
- * edited without bumping its version token (the PR 9 "mre " bug
- * class). Proving those invariants needs a *structural* model of the
- * tree — which classes exist, which members they have, what each
- * function body references — joined across translation units.
+ * The simulator's headline results are only reproducible while a set
+ * of cross-cutting invariants holds: seeded randomness only, no wall
+ * clock in simulation code, guards that survive Release builds,
+ * config hashes and snapshots that cover every field, and serialized
+ * layouts that change only together with their version token. This
+ * engine turns those conventions (DESIGN.md §5e) into sixteen
+ * machine-checked rules over one comment/string-aware scan of each
+ * file (scanUnit):
  *
- * This engine builds exactly that model: each source file is scanned
- * comment/string-aware into parallel code/text views (scanUnit), then
- * a brace-tracking pass extracts struct/class declarations with data-
- * member lists and function definitions with captured bodies
- * (buildModel). Five rules run over the joined model:
+ *   - line rules (`dora-det-*`, `dora-conc-*`, `dora-hyg-*`,
+ *     `dora-rob-*`, `dora-perf-*`) match one file's code view line by
+ *     line, scoped by path prefix with per-rule allowlists;
+ *   - model rules (`dora-cov-hash`, `dora-cov-snapshot`,
+ *     `dora-det-streamtag`, `dora-ser-version`, `dora-cli-flag`) run
+ *     over a structural model joined across translation units: struct
+ *     declarations with member lists and function definitions with
+ *     captured bodies (buildModel), plus the checked-in layout
+ *     manifest tools/analyze/serialized_layouts.json.
  *
- *   dora-cov-hash      every field of ExperimentConfig / FleetSpec /
- *                      TrainerConfig is referenced by its hash
- *                      function or annotated
- *                      `// dora:hash-exclude(<reason>)`.
- *   dora-cov-snapshot  every data member of a class defining both
- *                      snapshot() and tryRestore() appears in both
- *                      bodies or is annotated
- *                      `// dora:snapshot-exclude(<reason>)`.
- *   dora-det-streamtag an RNG stream tag literal used at more than
- *                      one call site is a correlation hazard; each
- *                      deliberate share carries
- *                      `// dora:stream-tag-shared(<reason>)`.
- *   dora-ser-version   serialized layouts (snapshot sections, wire
- *                      frames, journal records, model-bundle text)
- *                      are recomputed and diffed against the
- *                      checked-in manifest
- *                      tools/analyze/serialized_layouts.json; a
- *                      layout change without a version-token change
- *                      is a finding. `--regen-manifest` blesses
- *                      intentional bumps.
- *   dora-cli-flag      a `--flag` literal compared outside the
- *                      common/cli.hh helpers re-opens the silent-
- *                      misconfiguration class PR 8 closed.
+ * A finding is suppressed in place with
  *
- * Ergonomics follow dora-lint: stable rule ids, NOLINT(NEXTLINE)
- * suppression, `path:line: [rule] message` text plus `--json`
- * reports, exit 1 on findings, and a zero-findings self-scan in
- * tests/analyze. Like lint_engine, this library has no dependency on
- * dora_common so the binary and the golden tests share it.
+ *     code;  // NOLINT(dora-rule-id): justification
+ *     // NOLINTNEXTLINE(dora-rule-id): justification
+ *
+ * (a bare `NOLINT` suppresses every rule on that line), and the model
+ * rules honour `// dora:<annotation>(<reason>)` exclusions. Matching
+ * is plain token/character scanning: libstdc++'s std::regex trips GCC
+ * 12's -Wmaybe-uninitialized under -fsanitize, which broke the
+ * -Werror sanitizer build. The library has no dependency on
+ * dora_common, so the binary and the tests/analyze golden tests share
+ * it.
  */
 
 #ifndef DORA_TOOLS_ANALYZE_ENGINE_HH
@@ -74,6 +59,7 @@ struct RuleInfo
 {
     const char *id;
     const char *summary;
+    bool lineRule;  //!< per-file line rule (else a cross-TU model rule)
 };
 
 /** Every rule the engine knows, in stable (documentation) order. */
@@ -111,6 +97,13 @@ struct ScannedUnit
     std::vector<std::vector<Annotation>> notes;
     /** Rule ids suppressed on each line; "*" suppresses all rules. */
     std::vector<std::set<std::string>> nolint;
+    /**
+     * Per-line flag: inside a `// dora:lane-kernel-begin` ..
+     * `// dora:lane-kernel-end` region (the SIMD-friendly hot loops
+     * of the lane-batched walk, DESIGN.md §5g). Marker lines are
+     * included.
+     */
+    std::vector<char> laneKernel;
 
     /**
      * True when @p line (1-based) carries annotation @p name with a
@@ -161,7 +154,11 @@ struct TreeModel
     std::vector<FunctionDef> functions;
 };
 
-/** Parse every scanned unit into the cross-TU structural model. */
+/**
+ * Parse the scanned units under src/, bench/ and tools/ into the
+ * cross-TU structural model; every unit stays in `units` for the line
+ * rules and NOLINT filtering.
+ */
 TreeModel buildModel(std::vector<ScannedUnit> units);
 
 /**
@@ -202,10 +199,12 @@ bool parseManifest(const std::string &json,
                    std::string *error);
 
 /**
- * Run all five rules over the model. @p manifestJson is the content
- * of serialized_layouts.json, or nullptr when the file is absent
- * (only a finding if the tree actually contains serialized formats).
- * Findings are NOLINT-filtered and sorted by (path, line, rule).
+ * Run every rule: the line rules over each unit under src/, tests/,
+ * bench/ or tools/fleet/, the model rules over the model.
+ * @p manifestJson is the content of serialized_layouts.json, or
+ * nullptr when the file is absent (only a finding if the tree actually
+ * contains serialized formats). Findings are NOLINT-filtered and
+ * sorted by (path, line, rule).
  */
 std::vector<Finding> analyzeModel(const TreeModel &model,
                                   const std::string *manifestJson);
@@ -221,7 +220,7 @@ TreeModel loadTree(const std::string &repoRoot,
                    const std::vector<std::string> &subdirs,
                    std::vector<std::string> *scannedPaths = nullptr);
 
-/** Default scan roots: {"src", "bench", "tools"}. */
+/** Default scan roots: {"src", "tests", "bench", "tools"}. */
 const std::vector<std::string> &defaultSubdirs();
 
 /** Repo-relative manifest location. */

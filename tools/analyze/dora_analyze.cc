@@ -6,12 +6,12 @@
  *                [--regen-manifest [--allow-same-version]]
  *                [subdirs...]
  *
- * Walks src/ bench/ tools/ (or the given subdirs) under the repo
- * root, builds the cross-TU structural model (analyze_engine.hh),
- * applies the five coverage/version rules, prints findings as
- * `path:line: [rule-id] message`, optionally writes the JSON report,
- * and exits 1 if anything was found — which is how scripts/ci.sh
- * turns the rule set into a gate.
+ * Walks src/ tests/ bench/ tools/ (or the given subdirs) under the
+ * repo root, applies every rule of analyze_engine.hh (line rules per
+ * file, model rules over the cross-TU structural model), prints
+ * findings as `path:line: [rule-id] message`, optionally writes the
+ * JSON report, and exits 1 if anything was found — which is how
+ * scripts/ci.sh turns the rule set into a gate.
  *
  * --regen-manifest recomputes tools/analyze/serialized_layouts.json
  * from the tree. It refuses to bless a layout that changed while its
@@ -49,7 +49,7 @@ usage(const char *argv0)
         "  --allow-same-version  bless a layout rewrite that kept its "
         "version\n"
         "  subdirs             repo-relative roots (default: src "
-        "bench tools)\n",
+        "tests bench tools)\n",
         argv0);
     return 2;
 }
@@ -184,7 +184,7 @@ main(int argc, char **argv)
 
     if (list_rules) {
         for (const auto &rule : dora::analyze::ruleCatalog())
-            std::printf("%-22s %s\n", rule.id, rule.summary);
+            std::printf("%-28s %s\n", rule.id, rule.summary);
         return 0;
     }
 
