@@ -136,6 +136,16 @@ peakRssMb()
 int
 main(int argc, char **argv)
 {
+    cliCheckFlags(
+        argc, argv,
+        "Self-checking fleet rollout: tier identity, resume, memory.",
+        {{"--fleet-devices", "N", "devices to sample (default 10000)"},
+         {"--fleet-seed", "N", "population seed"},
+         {"--fleet-governors", "A,B", "governors to compare"},
+         {"--fleet-max-load", "S", "page-load wall in seconds"},
+         {"--fleet-rss-ceiling-mb", "MB", "peak-RSS ceiling"},
+         {"--fleet-rss-smoke", "N",
+          "one N-device process-tier campaign, RSS check only"}});
     ObsGuard obs(argc, argv);
 
     FleetCampaignConfig base;

@@ -8,7 +8,8 @@
  * ignored a trailing flag with a missing value (`dora-fleet --lanes`
  * fell through to the default lane count). Routing every flag through
  * cliFlagValue() makes a missing value a fatal diagnostic instead of
- * a silent misconfiguration.
+ * a silent misconfiguration, and cliCheckFlags() does the same for a
+ * misspelled or unknown flag.
  */
 
 #ifndef DORA_COMMON_CLI_HH
@@ -16,6 +17,7 @@
 
 #include <optional>
 #include <string>
+#include <vector>
 
 namespace dora
 {
@@ -39,6 +41,27 @@ std::optional<std::string> cliFlagValue(int argc, char **argv,
  * disabling the mode while actually enabling it).
  */
 bool cliHasFlag(int argc, char **argv, const std::string &flag);
+
+/** One flag a binary declares to cliCheckFlags(). */
+struct CliFlag
+{
+    const char *name;   //!< e.g. "--fleet-devices"
+    const char *value;  //!< value placeholder ("N"); nullptr: boolean
+    const char *help;   //!< one line for the usage listing
+};
+
+/**
+ * Reject every argument a binary does not declare. Each argument must
+ * be one of @p flags, one of the shared flags every binary accepts
+ * (`--jobs N`, `--workers N`, `--lanes N`, `--trace DIR`,
+ * `--exact-ticks`), or the value of a separated `--flag value`.
+ * `--help` (or `-h`) prints the usage listing, headed by @p about, to
+ * stdout and exits 0; anything undeclared is fatal, with the listing
+ * on stderr. Call it first in main(), before any flag is read; value
+ * checks stay with cliFlagValue() and cliParseInt().
+ */
+void cliCheckFlags(int argc, char **argv, const char *about,
+                   const std::vector<CliFlag> &flags);
 
 /**
  * Parse @p text as a decimal integer in [@p min, @p max]; fatal()s

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cmath>
 
 #include "common/logging.hh"
 #include "common/snapshot.hh"
@@ -26,6 +27,26 @@ nextStreamId()
 }
 
 } // namespace
+
+ExactModulo::ExactModulo(uint64_t d)
+    // ceil(2^128 / d) == floor((2^128 - 1) / d) + 1, wrapping to 0 at
+    // d = 1; a zero divisor has no remainder to compute.
+    : c_(d ? ~Uint128(0) / d + 1 : 0), d_(d)
+{
+    if (d == 0)
+        panic("ExactModulo: zero divisor");
+}
+
+uint64_t
+chanceThreshold(double p)
+{
+    if (!(p > 0.0))
+        return 0;
+    if (p >= 1.0)
+        return uint64_t(1) << 53;
+    // p * 2^53 only moves the exponent, so it is exact, and so is ceil.
+    return static_cast<uint64_t>(std::ceil(std::ldexp(p, 53)));
+}
 
 AddressStream::AddressStream(const AddressStreamSpec &spec,
                              uint64_t base_line, Rng rng)
@@ -52,6 +73,16 @@ AddressStream::reshape(const AddressStreamSpec &spec)
     burstLeft_ = 0;
     cursor_ = 0;
     ++generation_;
+    derive();
+}
+
+void
+AddressStream::derive()
+{
+    hotMod_ = ExactModulo(hotLines_);
+    wsMod_ = ExactModulo(wsLines_);
+    hotThreshold_ = chanceThreshold(spec_.hotFraction);
+    burstThreshold_ = chanceThreshold(spec_.burstContinueProb);
 }
 
 uint64_t
@@ -84,23 +115,30 @@ AddressStream::nextRuns(uint64_t *out, uint32_t n)
     // length in the same order from the same generator, and the burst
     // then advances the cursor one line per access (wrapping at the
     // working-set edge, with the burst continuing across the wrap).
-    // Instead of re-entering per access, each burst is emitted as up to
-    // three capped sequential fills (burst left / request left / lines
-    // to the wrap), so the generator state is only touched per burst.
+    // The draws are Rng::chance/below/burstLength in integer form:
+    // `(x >> 11) < threshold` for `uniform() < p` and the precomputed
+    // reciprocal for `x % span`. A new burst emits each line as the
+    // draw that extends it succeeds, so drawing the length and filling
+    // the lines is one loop with one unpredictable exit per burst. If
+    // the request ends first, the remaining continue draws are still
+    // made, as next() makes them all up front, and the lines not yet
+    // emitted carry over in burstLeft_. The generator is a local copy
+    // so its words stay in registers across the stores to @p out.
+    Rng rng = rng_;
     uint64_t cur = cursor_;
     uint64_t left = burstLeft_;
     const uint64_t ws = wsLines_;
-    const uint64_t hot = hotLines_;
     const uint64_t base = baseLine_;
+    const uint64_t cap = spec_.burstCap;
+    const uint64_t hot_threshold = hotThreshold_;
+    const uint64_t burst_threshold = burstThreshold_;
+    const ExactModulo hot_mod = hotMod_;
+    const ExactModulo ws_mod = wsMod_;
     uint32_t i = 0;
-    while (i < n) {
-        if (left == 0) {
-            const uint64_t span = rng_.chance(spec_.hotFraction) ? hot
-                                                                 : ws;
-            cur = rng_.below(span);
-            left = rng_.burstLength(spec_.burstContinueProb,
-                                    spec_.burstCap);
-        }
+    // dora:lane-kernel-begin
+    // The rest of a burst an earlier call drew: sequential fills capped
+    // by the burst, the request and the lines left before the wrap.
+    while (left > 0 && i < n) {
         uint64_t k = left;
         if (k > n - i)
             k = n - i;
@@ -115,6 +153,23 @@ AddressStream::nextRuns(uint64_t *out, uint32_t n)
         if (cur == ws)
             cur = 0;
     }
+    while (i < n) {
+        const bool hot = (rng.next() >> 11) < hot_threshold;
+        const uint64_t draw = rng.next();
+        cur = hot ? hot_mod(draw) : ws_mod(draw);
+        uint64_t len = 0;
+        do {
+            ++len;
+            if (i < n) {
+                out[i++] = base + cur;
+                cur = cur + 1 == ws ? 0 : cur + 1;
+            } else {
+                ++left;
+            }
+        } while (len < cap && (rng.next() >> 11) < burst_threshold);
+    }
+    // dora:lane-kernel-end
+    rng_ = rng;
     cursor_ = cur;
     burstLeft_ = left;
 }
@@ -161,8 +216,10 @@ AddressStream::tryRestore(SnapshotReader &r)
     for (uint64_t &word : rng.s)
         if (!r.getU64(&word))
             return false;
+    // Zero spans never occur in a real snapshot; rejecting them keeps
+    // derive() from dividing by zero on a corrupt one.
     if (!r.getU64(&generation) || !r.getU64(&cursor) ||
-        !r.getU64(&burst_left))
+        !r.getU64(&burst_left) || ws_lines == 0 || hot_lines == 0)
         return false;
     spec_ = spec;
     baseLine_ = base_line;
@@ -172,6 +229,7 @@ AddressStream::tryRestore(SnapshotReader &r)
     generation_ = generation;
     cursor_ = cursor;
     burstLeft_ = burst_left;
+    derive();
     return true;
 }
 

@@ -27,6 +27,49 @@ class SnapshotReader;
 class SnapshotWriter;
 
 /**
+ * Divide-free `n % d` for a divisor fixed ahead of time: the direct
+ * remainder of Lemire, Kaser and Kurz (2019) with a 128-bit fraction
+ * c = ceil(2^128 / d), exact for every 64-bit numerator and every
+ * divisor in [1, 2^64). For d = 1, c wraps to 0 and the result is the
+ * correct 0. Costs four multiplies instead of a 64-bit divide.
+ */
+class ExactModulo
+{
+  public:
+    explicit ExactModulo(uint64_t d = 1);
+
+    /** @p n mod the divisor, bit-equal to `n % d`. */
+    uint64_t operator()(uint64_t n) const
+    {
+        // (c * n mod 2^128) is n's fractional position within d;
+        // scaling it by d and keeping the top 64 of 192 bits is
+        // floor(frac * d), the remainder.
+        const Uint128 frac = c_ * n;
+        const Uint128 lo = static_cast<Uint128>(
+                               static_cast<uint64_t>(frac)) * d_;
+        const Uint128 hi = static_cast<Uint128>(
+                               static_cast<uint64_t>(frac >> 64)) * d_;
+        return static_cast<uint64_t>((hi + (lo >> 64)) >> 64);
+    }
+
+  private:
+    using Uint128 = unsigned __int128;
+
+    Uint128 c_;
+    uint64_t d_;
+};
+
+/**
+ * Integer form of Rng::chance(@p p): for any draw x = Rng::next(),
+ * `(x >> 11) < chanceThreshold(p)` exactly when `uniform() < p` would
+ * be true for that draw. The 53 high bits scaled by 2^-53 are exact
+ * in a double, so the threshold is ceil(p * 2^53) clamped to
+ * [0, 2^53]; NaN and p <= 0 give 0 (never), p >= 1 gives 2^53
+ * (always).
+ */
+uint64_t chanceThreshold(double p);
+
+/**
  * Statistical description of a reference stream.
  *
  * The generator draws, per access, either from a small "hot" region
@@ -79,9 +122,13 @@ class AddressStream
      * Emit the next @p n line addresses into @p out — exactly the
      * sequence n successive next() calls would produce (same RNG draw
      * order and count, same final cursor/burst state), but generated
-     * burst-run-at-a-time so the inner loop is a sequential fill
-     * instead of a per-access call. The batched walk kernel's phase-A
-     * generator (DESIGN.md §5g).
+     * a burst at a time instead of by a per-access call: each line is
+     * written as the draw that extends its burst succeeds. The batched
+     * walk kernel's phase-A generator (DESIGN.md §5g): the region and
+     * burst draws compare integer thresholds and the start line takes
+     * a precomputed reciprocal modulo, so the loop has no divide and
+     * no int-to-double conversion. next() stays the plain Rng
+     * reference.
      */
     void nextRuns(uint64_t *out, uint32_t n);
 
@@ -131,6 +178,9 @@ class AddressStream
     [[nodiscard]] bool tryRestore(SnapshotReader &r);
 
   private:
+    /** Recompute the derived draw constants from spec_ and the spans. */
+    void derive();
+
     AddressStreamSpec spec_;
     uint64_t baseLine_;
     uint64_t wsLines_;
@@ -143,6 +193,13 @@ class AddressStream
     // never needs a modulo on the emitted line.
     uint64_t cursor_ = 0;
     uint64_t burstLeft_ = 0;
+
+    // nextRuns()'s per-phase constants, rebuilt by derive() from the
+    // members above whenever reshape() or tryRestore() changes them.
+    ExactModulo hotMod_;  // dora:snapshot-exclude(derived)
+    ExactModulo wsMod_;  // dora:snapshot-exclude(derived)
+    uint64_t hotThreshold_ = 0;  // dora:snapshot-exclude(derived)
+    uint64_t burstThreshold_ = 0;  // dora:snapshot-exclude(derived)
 };
 
 } // namespace dora

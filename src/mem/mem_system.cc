@@ -17,7 +17,9 @@ namespace dora
 namespace
 {
 
-#if defined(__SSE2__)
+/** Geometry the batched walk kernel covers (batchedWalkEligible()). */
+constexpr uint32_t kL1Ways = 4;
+constexpr uint32_t kL2Ways = 8;
 
 /**
  * Bitmask of the ways in an 8-way tag row whose tag equals @p tag
@@ -28,8 +30,9 @@ namespace
 inline uint32_t
 tagMatchMask8(const uint64_t *row, uint64_t tag)
 {
-    const __m128i t = _mm_set1_epi64x(static_cast<long long>(tag));
     uint32_t mask = 0;
+#if defined(__SSE2__)
+    const __m128i t = _mm_set1_epi64x(static_cast<long long>(tag));
     for (int i = 0; i < 4; ++i) {
         const __m128i v = _mm_loadu_si128(
             reinterpret_cast<const __m128i *>(row + 2 * i));
@@ -37,10 +40,12 @@ tagMatchMask8(const uint64_t *row, uint64_t tag)
         mask |= static_cast<uint32_t>((m & 0xFF) == 0xFF) << (2 * i);
         mask |= static_cast<uint32_t>((m >> 8) == 0xFF) << (2 * i + 1);
     }
+#else
+    for (uint32_t w = 0; w < kL2Ways; ++w)
+        mask |= static_cast<uint32_t>(row[w] == tag) << w;
+#endif
     return mask;
 }
-
-#endif // __SSE2__
 
 } // namespace
 
@@ -236,10 +241,13 @@ MemSystem::batchedWalkEligible(
 {
     // The kernel's phase split assumes private L1s (one stream per
     // core, so requestor cores are strictly increasing, as Soc submits
-    // them) and pure-LRU replacement in both levels; anything else
-    // takes the reference walk.
+    // them); its probes are written for the shipped geometry, a 4-way
+    // LRU L1 and an 8-way LRU L2. Anything else takes the reference
+    // walk.
     if (config_.l1.policy != ReplacementPolicy::Lru ||
-        config_.l2.policy != ReplacementPolicy::Lru)
+        config_.l2.policy != ReplacementPolicy::Lru ||
+        config_.l1.associativity != kL1Ways ||
+        config_.l2.associativity != kL2Ways)
         return false;
     for (size_t i = 1; i < requests.size(); ++i)
         if (requests[i].core <= requests[i - 1].core)
@@ -298,9 +306,15 @@ MemSystem::walkBatchedPrepare(std::vector<LiveStream> &live)
             live[r].req->stream->nextRuns(&walkLines_[walkOffsets_[r]],
                                           live[r].req->samples);
 
-    // Phase B: private L1 probes (branchy early-exit scan beats SIMD
-    // here: at typical sampled miss rates the probe usually fails all
-    // four ways and the fill path dominates).
+    // Phase B: private L1 probes, branch-free over the four ways. The
+    // sampled traffic hits or misses at random and, on a hit, matches
+    // at a random way, so an early-exit scan with a hit/miss branch
+    // mispredicts on most probes. Instead every probe builds the
+    // match mask, always computes the LRU victim, and stores the line
+    // and stamp to the hit way or else the victim. A hit rewrites the
+    // tag it matched, so the arrays end exactly as access() leaves
+    // them. At most one valid way can match: a line is filled only
+    // after a miss.
     for (size_t r = 0; r < n_req; ++r) {
         const uint32_t samples = live[r].req->samples;
         if (samples == 0)
@@ -308,52 +322,67 @@ MemSystem::walkBatchedPrepare(std::vector<LiveStream> &live)
         CacheModel &l1 = l1s_[live[r].req->core];
         const uint64_t *lines = &walkLines_[walkOffsets_[r]];
         uint32_t *miss = &walkMiss_[walkOffsets_[r]];
-        const uint32_t assoc = l1.config_.associativity;
         const uint32_t set_mask = l1.numSets_ - 1;
         uint64_t *tags = l1.tags_.data();
         uint64_t *use = l1.lastUse_.data();
-        uint64_t clock = l1.accessClock_;
-        uint64_t self_ev = 0;
+        // access() pre-increments the clock, so access i stamps
+        // clock0 + i.
+        const uint64_t clock0 = l1.accessClock_ + 1;
         uint64_t invalid_fills = 0;
         uint32_t miss_count = 0;
         // dora:lane-kernel-begin
         for (uint32_t i = 0; i < samples; ++i) {
             const uint64_t line = lines[i];
-            ++clock;
             const size_t base =
                 (static_cast<uint32_t>(line) & set_mask) *
-                static_cast<size_t>(assoc);
-            uint32_t w = 0;
-            for (; w < assoc; ++w)
-                if (tags[base + w] == line && use[base + w] != 0)
-                    break;
-            if (w < assoc) {
-                // Hit: the L1 has one requestor, so no ownership moves.
-                use[base + w] = clock;
-                continue;
-            }
-            uint32_t victim = 0;
-            uint64_t best = use[base];
-            for (uint32_t v = 1; v < assoc; ++v) {
-                const bool better = use[base + v] < best;
-                best = better ? use[base + v] : best;
-                victim = better ? v : victim;
-            }
-            self_ev += best != 0;
-            invalid_fills += best == 0;
-            tags[base + victim] = line;
-            use[base + victim] = clock;
+                static_cast<size_t>(kL1Ways);
+            uint64_t *t = &tags[base];
+            uint64_t *u = &use[base];
+            const uint64_t u0 = u[0], u1 = u[1], u2 = u[2], u3 = u[3];
+            const uint32_t match =
+                (static_cast<uint32_t>(t[0] == line) &
+                 static_cast<uint32_t>(u0 != 0)) |
+                (static_cast<uint32_t>(t[1] == line) &
+                 static_cast<uint32_t>(u1 != 0)) << 1 |
+                (static_cast<uint32_t>(t[2] == line) &
+                 static_cast<uint32_t>(u2 != 0)) << 2 |
+                (static_cast<uint32_t>(t[3] == line) &
+                 static_cast<uint32_t>(u3 != 0)) << 3;
+            // LRU victim as a tournament: strict < keeps the lower way
+            // on ties, as the linear scan of chooseVictim() does, and
+            // invalid ways (stamp 0) rank below every live one. The
+            // picks are bit arithmetic, so the compiler has no select
+            // to turn back into a branch.
+            const uint32_t pick1 = u1 < u0;
+            const uint32_t pick3 = u3 < u2;
+            const uint64_t best01 = pick1 ? u1 : u0;
+            const uint64_t best23 = pick3 ? u3 : u2;
+            const uint32_t pick23 = best23 < best01;
+            const uint32_t victim =
+                pick23 << 1 | (pick23 & pick3) | (~pick23 & pick1);
+            const uint32_t invalid = (best01 == 0) | (best23 == 0);
+            const uint32_t missed = match == 0;
+            // Without a match the sentinel bit 4 + victim is the lowest
+            // set bit, so one count of trailing zeros gives the hit way
+            // or else the victim.
+            const uint32_t way =
+                static_cast<uint32_t>(__builtin_ctz(match | 16u << victim)) &
+                3;
+            t[way] = line;
+            u[way] = clock0 + i;
+            invalid_fills += missed & invalid;
+            // miss_count <= i, so the slot is inside this slice.
             miss[miss_count] = i;
-            ++miss_count;
+            miss_count += missed;
         }
         // dora:lane-kernel-end
-        l1.accessClock_ = clock;
+        l1.accessClock_ += samples;
         CacheStats &st = l1.stats_[0];
         st.accesses += samples;
         st.misses += miss_count;
         // Every valid L1 victim belongs to the sole requestor, and a
         // valid-victim fill leaves its owned-line count unchanged.
-        st.selfEvictions += self_ev;
+        st.selfEvictions += miss_count - invalid_fills;
         l1.owned_[0] += invalid_fills;
         walkMissCount_[r] = miss_count;
         live[r].l1Misses = miss_count;
@@ -371,7 +400,6 @@ MemSystem::walkBatchedDrain(std::vector<LiveStream> &live,
     const uint32_t chunk = std::max<uint32_t>(1, config_.interleaveChunk);
     const size_t n_req = live.size();
     CacheModel &l2 = l2_;
-    const uint32_t assoc2 = l2.config_.associativity;
     const uint32_t set_mask2 = l2.numSets_ - 1;
     uint64_t *tags2 = l2.tags_.data();
     uint64_t *use2 = l2.lastUse_.data();
@@ -399,7 +427,7 @@ MemSystem::walkBatchedDrain(std::vector<LiveStream> &live,
                     const uint64_t pf = lines[miss[cur + kPrefetchDist]];
                     const size_t pb =
                         (static_cast<uint32_t>(pf) & set_mask2) *
-                        static_cast<size_t>(assoc2);
+                        static_cast<size_t>(kL2Ways);
                     __builtin_prefetch(&tags2[pb]);
                     __builtin_prefetch(&use2[pb]);
                     __builtin_prefetch(&owners2[pb]);
@@ -407,31 +435,19 @@ MemSystem::walkBatchedDrain(std::vector<LiveStream> &live,
                 ++clock2;
                 const size_t base =
                     (static_cast<uint32_t>(line) & set_mask2) *
-                    static_cast<size_t>(assoc2);
-                uint32_t way = assoc2;
-#if defined(__SSE2__)
-                if (assoc2 == 8) {
-                    uint32_t m = tagMatchMask8(&tags2[base], line);
-                    while (m) {
-                        const uint32_t w =
-                            static_cast<uint32_t>(__builtin_ctz(m));
-                        if (use2[base + w] != 0) {
-                            way = w;
-                            break;
-                        }
-                        m &= m - 1;
+                    static_cast<size_t>(kL2Ways);
+                uint32_t way = kL2Ways;
+                uint32_t m = tagMatchMask8(&tags2[base], line);
+                while (m) {
+                    const uint32_t w =
+                        static_cast<uint32_t>(__builtin_ctz(m));
+                    if (use2[base + w] != 0) {
+                        way = w;
+                        break;
                     }
-                } else
-#endif
-                {
-                    for (uint32_t w = 0; w < assoc2; ++w)
-                        if (tags2[base + w] == line &&
-                            use2[base + w] != 0) {
-                            way = w;
-                            break;
-                        }
+                    m &= m - 1;
                 }
-                if (way < assoc2) {
+                if (way < kL2Ways) {
                     const uint32_t owner = owners2[base + way];
                     if (owner != core) {
                         --owned2[owner];
@@ -444,7 +460,7 @@ MemSystem::walkBatchedDrain(std::vector<LiveStream> &live,
                 ++l2_misses;
                 uint32_t victim = 0;
                 uint64_t best = use2[base];
-                for (uint32_t v = 1; v < assoc2; ++v) {
+                for (uint32_t v = 1; v < kL2Ways; ++v) {
                     const bool better = use2[base + v] < best;
                     best = better ? use2[base + v] : best;
                     victim = better ? v : victim;

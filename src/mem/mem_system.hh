@@ -136,20 +136,29 @@ class MemSystem
     /**
      * Select the batched walk kernel for subsequent ticks. The kernel
      * generates each stream's sample up front (AddressStream::nextRuns),
-     * probes the private L1s stream-at-a-time, and drains L1 misses
-     * into the shared L2 along the legacy round-robin chunk schedule
-     * with hoisted raw-pointer loops, SIMD tag compares, and next-miss
-     * prefetch (DESIGN.md §5g). Results are bit-identical to the
-     * per-access walk; ticks fall back to it automatically whenever a
-     * request shape or replacement policy the kernel does not cover
-     * shows up. On by default (the per-access walk remains the
-     * reference implementation the bit-identity suite compares
-     * against); turn off to force the reference path.
+     * probes the private L1s stream-at-a-time with a branch-free 4-way
+     * probe, and drains L1 misses into the shared L2 along the legacy
+     * round-robin chunk schedule with hoisted raw-pointer loops, SIMD
+     * tag compares, and next-miss prefetch (DESIGN.md §5g). Results
+     * are bit-identical to the per-access walk; ticks fall back to it
+     * automatically whenever batchedWalkEligible() says no. On by
+     * default (the per-access walk remains the reference
+     * implementation the bit-identity suite compares against); turn
+     * off to force the reference path.
      */
     void setBatchedWalk(bool on) { batchedWalk_ = on; }
 
     /** True when the batched walk kernel is selected. */
     bool batchedWalk() const { return batchedWalk_; }
+
+    /**
+     * True when the batched kernel covers a tick of @p requests: one
+     * request per core in increasing core order, and the shipped
+     * geometry, a 4-way LRU L1 and an 8-way LRU L2. Any other tick
+     * takes the reference walk.
+     */
+    bool batchedWalkEligible(
+        const std::vector<MemSampleRequest> &requests) const;
 
     /**
      * One hierarchy's walk work for tickSampleMany(): the target system
@@ -221,10 +230,6 @@ class MemSystem
     /** Phase C of walkBatched() over passes [begin, end). */
     void walkBatchedDrain(std::vector<LiveStream> &live,
                           uint64_t pass_begin, uint64_t pass_end);
-
-    /** True when walkBatched() covers this tick's request shape. */
-    bool batchedWalkEligible(
-        const std::vector<MemSampleRequest> &requests) const;
 
     /** tickSample() head: fill liveScratch_; true if any samples. */
     bool buildLive(const std::vector<MemSampleRequest> &requests);

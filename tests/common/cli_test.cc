@@ -13,6 +13,8 @@
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <cstdlib>
 #include <string>
 #include <vector>
@@ -169,6 +171,72 @@ TEST(CliDeath, MalformedDoubleIsFatal)
     EXPECT_EXIT(cliParseDouble("1.5", "--fleet-fault-incidence", 0.0,
                                1.0),
                 ::testing::ExitedWithCode(1), "--fleet-fault-incidence");
+}
+
+/** The declared flag set of a dora-fleet-like binary. */
+void
+checkFleetFlags(Argv &args)
+{
+    cliCheckFlags(args.argc(), args.argv(), "Run a fleet campaign.",
+                  {{"--fleet-devices", "N", "devices to sample"},
+                   {"--fleet-journal", "STEM", "journal stem"},
+                   {"--verbose", nullptr, "say more"}});
+}
+
+TEST(CliCheckFlags, DeclaredAndSharedFlagsPass)
+{
+    Argv args({"dora-fleet", "--fleet-devices", "3", "--fleet-journal=j",
+               "--verbose", "--jobs", "2", "--workers=1", "--lanes", "4",
+               "--trace", "dir", "--exact-ticks"});
+    checkFleetFlags(args);
+}
+
+TEST(CliCheckFlags, SeparatedValueIsNotCheckedAsAFlag)
+{
+    Argv args({"dora-fleet", "--fleet-journal", "--odd-stem"});
+    checkFleetFlags(args);
+}
+
+TEST(CliDeath, UndeclaredFlagIsFatalWithUsage)
+{
+    // The ROADMAP regression: a typo and a bogus flag used to start
+    // the default campaign silently.
+    Argv args({"dora-fleet", "--fleet-devicez", "3", "--bogus"});
+    EXPECT_EXIT(checkFleetFlags(args), ::testing::ExitedWithCode(1),
+                "usage: dora-fleet.*--fleet-devices N.*--jobs N.*"
+                "unknown flag '--fleet-devicez'");
+}
+
+TEST(CliDeath, UndeclaredInlineFlagIsFatal)
+{
+    Argv args({"dora-fleet", "--fleet-devicez=3"});
+    EXPECT_EXIT(checkFleetFlags(args), ::testing::ExitedWithCode(1),
+                "unknown flag '--fleet-devicez=3'");
+}
+
+TEST(CliDeath, StrayPositionalArgumentIsFatal)
+{
+    Argv args({"dora-fleet", "--fleet-devices", "3", "4"});
+    EXPECT_EXIT(checkFleetFlags(args), ::testing::ExitedWithCode(1),
+                "unexpected argument '4'");
+}
+
+TEST(CliDeath, HelpPrintsUsageAndExitsZero)
+{
+    // --help wins wherever it appears; the listing goes to stdout,
+    // sent to stderr here so the death-test matcher sees it.
+    for (const char *help : {"--help", "-h"}) {
+        Argv args({"/bin/dir/dora-fleet", "--bogus", help});
+        EXPECT_EXIT(
+            {
+                ::dup2(STDERR_FILENO, STDOUT_FILENO);
+                checkFleetFlags(args);
+            },
+            ::testing::ExitedWithCode(0),
+            "usage: dora-fleet \\[flags\\].*Run a fleet campaign.*"
+            "--fleet-journal STEM +journal stem.*--verbose +say more.*"
+            "shared flags:.*--exact-ticks.*--help");
+    }
 }
 
 TEST(CliParse, AcceptsValuesInsideRange)

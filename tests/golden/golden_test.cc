@@ -19,6 +19,7 @@
 #include <string>
 
 #include "browser/page_corpus.hh"
+#include "common/exact_ticks.hh"
 #include "common/rng.hh"
 #include "fleet/campaign.hh"
 #include "obs/trace.hh"
@@ -91,11 +92,14 @@ TEST(GoldenDigest, SmallFleetPopulation)
                  engine.run().populationDigest);
 }
 
-TEST(GoldenDigest, Fig01SweepMeasurementChain)
+/**
+ * Chained measurement digest of the fig01 cells: Reddit at every
+ * paper-sweep frequency, alone and under a low/medium/high co-runner;
+ * fixed frequency, no trained models.
+ */
+uint64_t
+fig01Chain()
 {
-    // The fig01 cells: Reddit at every paper-sweep frequency, alone
-    // and under a low/medium/high co-runner; fixed frequency, no
-    // trained models.
     ExperimentRunner runner;
     const WebPage &reddit = PageCorpus::byName("reddit");
     uint64_t chain = hashLabel("golden:fig01");
@@ -109,7 +113,40 @@ TEST(GoldenDigest, Fig01SweepMeasurementChain)
                 hexU64(chain) + ":" +
                 hexU64(runMeasurementDigest(runner.runAtFrequency(w, f))));
         }
-    expectGolden("fig01.sweep.measurement_chain", chain);
+    return chain;
+}
+
+TEST(GoldenDigest, Fig01SweepMeasurementChain)
+{
+    expectGolden("fig01.sweep.measurement_chain", fig01Chain());
+}
+
+TEST(GoldenDigest, Fig01ExactTicksMeasurementChain)
+{
+    // Exact-ticks mode walks the sampled caches on every tick, so this
+    // chain pins the walk kernel itself, not just the estimator's
+    // reuse of it. The mode is process-wide: restore it afterwards.
+    const bool was_exact = exactTicksMode();
+    setExactTicksMode(true);
+    const uint64_t chain = fig01Chain();
+    setExactTicksMode(was_exact);
+    expectGolden("fig01.sweep.exact_ticks_measurement_chain", chain);
+}
+
+TEST(GoldenDigest, FleetRollout120Population)
+{
+    // The CI fleet_rollout configuration: 120 devices of the default
+    // seed under two model-free governors with a 1 s load wall. The
+    // report is byte-identical at any job count; 4 jobs keep it short.
+    FleetCampaignConfig config;
+    config.spec.devices = 120;
+    config.spec.faultIncidence = 0.05;
+    config.governors = {"interactive", "ondemand"};
+    config.base.maxLoadSec = 1.0;
+    config.jobs = 4;
+    FleetEngine engine(config);
+    expectGolden("fleet.rollout_120.population_digest",
+                 engine.run().populationDigest);
 }
 
 } // namespace

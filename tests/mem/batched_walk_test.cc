@@ -139,7 +139,7 @@ TEST(BatchedWalk, BitIdenticalToReferenceWalkScalarGeometry)
     MemSystemConfig config;
     config.l1.sizeBytes = 4 * 1024;
     config.l2.sizeBytes = 48 * 1024;
-    config.l2.associativity = 6;  // non-8-way: scalar probe loop
+    config.l2.associativity = 6;  // non-8-way: the reference walk
     expectIdenticalWalks(config);
 }
 

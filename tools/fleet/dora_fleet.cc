@@ -22,7 +22,8 @@
  * that device.
  *
  * Every flag is routed through common/cli.hh, so a trailing flag with
- * a missing value is a fatal diagnostic, never silently ignored.
+ * a missing value or an undeclared flag is a fatal diagnostic, never
+ * silently ignored; --help prints the flag listing.
  */
 
 #include <algorithm>
@@ -69,6 +70,20 @@ splitGovernors(const std::string &text)
 int
 main(int argc, char **argv)
 {
+    cliCheckFlags(
+        argc, argv, "Run a fleet campaign, or replay one of its cells.",
+        {{"--fleet-devices", "N", "devices to sample (default 1000)"},
+         {"--fleet-seed", "N", "population seed"},
+         {"--fleet-governors", "A,B", "governors to compare"},
+         {"--fleet-fault-incidence", "X", "share of faulty devices"},
+         {"--fleet-max-load", "S", "page-load wall in seconds"},
+         {"--fleet-journal", "STEM", "journal for crash resume"},
+         {"--fleet-checkpoint-interval", "N",
+          "chunks between aggregate checkpoints"},
+         {"--fleet-report-quantiles", "Q,Q",
+          "print PPW and load-time quantiles"},
+         {"--fleet-replay", "DEV", "re-run one device alone"},
+         {"--fleet-replay-governor", "NAME", "governor for the replay"}});
     ObsGuard obs(argc, argv);
 
     FleetCampaignConfig config;
