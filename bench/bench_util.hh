@@ -17,7 +17,6 @@
 #include <string>
 
 #include "common/cli.hh"
-#include "common/lanes.hh"
 #include "common/logging.hh"
 #include "common/table.hh"
 #include "exec/thread_pool.hh"
@@ -65,23 +64,6 @@ benchWorkers(int argc, char **argv)
         std::cerr << "[bench] workers=" << workers << " (" << from
                   << "; process tier with checkpoint/resume)\n";
     return static_cast<unsigned>(workers);
-}
-
-/**
- * Resolve and announce the lane-batch width of a bench binary:
- * `--lanes N` / `--lanes=N` on the command line, else $DORA_LANES,
- * else 1 (the exact legacy per-run path). Results are bit-identical
- * at any lane count; lanes > 1 advances that many independent runs
- * interleaved per thread so memory-walk miss chains overlap (see
- * sim/lane_batch.hh).
- */
-inline unsigned
-benchLanes(int argc, char **argv)
-{
-    const unsigned lanes = laneCountFromArgs(argc, argv);
-    if (lanes > 1)
-        std::cerr << "[bench] lanes=" << lanes << " (lane-batched)\n";
-    return lanes;
 }
 
 /**

@@ -40,10 +40,12 @@ meanAbsPct(const std::vector<double> &errors)
 int
 main(int argc, char **argv)
 {
+    cliCheckFlags(argc, argv,
+                  "Figure 5: accuracy of the load-time and power models.",
+                  {});
     ObsGuard obs(argc, argv);
     TrainerConfig trainer_config;
     trainer_config.jobs = benchJobs(argc, argv);
-    trainer_config.lanes = benchLanes(argc, argv);
     Trainer trainer(trainer_config);
     // Train normally (also produces the leakage fit used below).
     ModelBundle bundle = trainer.trainCached(defaultBundleCachePath());

@@ -26,12 +26,15 @@ using namespace dora;
 int
 main(int argc, char **argv)
 {
+    cliCheckFlags(argc, argv,
+                  "Figure 7: mean PPW and load times of every governor "
+                  "over the 54 workloads.",
+                  {});
     ObsGuard obs(argc, argv);
     const unsigned jobs = benchJobs(argc, argv);
     const unsigned workers = benchWorkers(argc, argv);
     auto bundle = benchBundle();
     ComparisonHarness harness(ExperimentConfig{}, bundle, jobs);
-    harness.setLanes(benchLanes(argc, argv));
     if (workers > 0) {
         // Process tier: campaigns shard across worker subprocesses and
         // journal completed cells, so an interrupted/crashed bench run

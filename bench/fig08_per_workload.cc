@@ -19,12 +19,15 @@ using namespace dora;
 int
 main(int argc, char **argv)
 {
+    cliCheckFlags(argc, argv,
+                  "Figure 8: per-workload PPW of every governor, sorted "
+                  "by DORA's gain.",
+                  {});
     ObsGuard obs(argc, argv);
     const unsigned jobs = benchJobs(argc, argv);
     const unsigned workers = benchWorkers(argc, argv);
     auto bundle = benchBundle();
     ComparisonHarness harness(ExperimentConfig{}, bundle, jobs);
-    harness.setLanes(benchLanes(argc, argv));
     if (workers > 0) {
         harness.setWorkers(workers);
         harness.setProcJournalStem("fig08.journal");

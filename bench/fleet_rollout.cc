@@ -10,9 +10,9 @@
  * engine's contracts:
  *
  *   1. the aggregate report is BYTE-IDENTICAL across the tier matrix
- *      (jobs, workers, lanes) in {(1,0,1), (4,0,1), (1,2,4),
- *      (4,2,8)} (fleetReportText renders every double as a hex
- *      float, so any single-ULP divergence fails);
+ *      (jobs, workers) in {(1,0), (4,0), (1,2), (4,2)}
+ *      (fleetReportText renders every double as a hex float, so any
+ *      single-ULP divergence fails);
  *   2. a campaign SIGKILLed after its first aggregate checkpoint
  *      landed resumes — checkpoint restore plus journal tail replay —
  *      to the same bytes;
@@ -189,7 +189,6 @@ main(int argc, char **argv)
             cliParseInt(*v, "--fleet-rss-smoke", 1, 10000000));
         config.jobs = 1;
         config.workers = 2;
-        config.lanes = 4;
         FleetEngine engine(config);
         const auto smoke_t0 = std::chrono::steady_clock::now();
         const FleetReport report = engine.run();
@@ -219,11 +218,10 @@ main(int argc, char **argv)
               << " devices x " << base.governors.size()
               << " governors = " << cells << " cells\n";
 
-    // --- Reference pass: serial, in-process, one lane. ---
+    // --- Reference pass: serial, in-process. ---
     FleetCampaignConfig ref_config = base;
     ref_config.jobs = 1;
     ref_config.workers = 0;
-    ref_config.lanes = 1;
     FleetEngine ref_engine(ref_config);
     auto t0 = std::chrono::steady_clock::now();
     const FleetReport ref = ref_engine.run();
@@ -232,7 +230,7 @@ main(int argc, char **argv)
     const double devices_per_sec = ref_sec > 0.0
         ? static_cast<double>(base.spec.devices) / ref_sec
         : 0.0;
-    std::printf("FLEET jobs=1 workers=0 lanes=1 wall=%.3f "
+    std::printf("FLEET jobs=1 workers=0 wall=%.3f "
                 "devices_per_sec=%.2f\n",
                 ref_sec, devices_per_sec);
     std::cout << ref_text;
@@ -241,25 +239,23 @@ main(int argc, char **argv)
     bool identical = true;
     struct Combo
     {
-        unsigned jobs, workers, lanes;
+        unsigned jobs, workers;
     };
-    const Combo combos[] = {{4, 0, 1}, {1, 2, 4}, {4, 2, 8}};
+    const Combo combos[] = {{4, 0}, {1, 2}, {4, 2}};
     for (const Combo &c : combos) {
         FleetCampaignConfig config = base;
         config.jobs = c.jobs;
         config.workers = c.workers;
-        config.lanes = c.lanes;
         FleetEngine engine(config);
         t0 = std::chrono::steady_clock::now();
         const FleetReport report = engine.run();
-        std::printf("FLEET jobs=%u workers=%u lanes=%u wall=%.3f\n",
-                    c.jobs, c.workers, c.lanes, wallSeconds(t0));
+        std::printf("FLEET jobs=%u workers=%u wall=%.3f\n", c.jobs,
+                    c.workers, wallSeconds(t0));
         if (fleetReportText(report) != ref_text ||
             report.populationDigest != ref.populationDigest) {
             identical = false;
             std::cerr << "MISMATCH at jobs=" << c.jobs
-                      << " workers=" << c.workers
-                      << " lanes=" << c.lanes << "\n";
+                      << " workers=" << c.workers << "\n";
         }
     }
 
@@ -270,7 +266,6 @@ main(int argc, char **argv)
     FleetCampaignConfig resume_config = base;
     resume_config.jobs = 1;
     resume_config.workers = 2;
-    resume_config.lanes = 4;
     resume_config.journalStem = stem;
 
     const pid_t child = ::fork();

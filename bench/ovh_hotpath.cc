@@ -12,19 +12,15 @@
 
 #include <benchmark/benchmark.h>
 
-#include <algorithm>
 #include <chrono>
 #include <iostream>
+#include <memory>
 
 #include "common/exact_ticks.hh"
-#include "common/rng.hh"
-#include "governor/governor.hh"
 #include "mem/cache_model.hh"
-#include "soc/freq_table.hh"
 #include "obs/trace.hh"
 #include "power/device_power.hh"
 #include "runner/workload.hh"
-#include "sim/lane_batch.hh"
 #include "sim/simulator.hh"
 #include "workloads/corun_task.hh"
 
@@ -151,67 +147,6 @@ printTickRate()
               << static_cast<uint64_t>(kTicks / sec) << "\n";
 }
 
-/**
- * Aggregate lane-ticks/sec of a whole LaneBatchSimulator campaign at
- * @p lanes kernel-only runs per batch: total simulated ticks across
- * all lanes divided by the wall-clock of runAll(). lanes=1 is the
- * legacy per-run path, so the N>1 rows show how much memory-level
- * parallelism the cross-lane interleaving recovers per thread.
- */
-void
-printLaneRate(unsigned lanes)
-{
-    // Every lane runs the SAME memory-heavy kernel pinned at the top
-    // OPP (the offline-opt / training shape), so the N>1 rows differ
-    // from N=1 only by the cross-lane interleaving, not by workload
-    // mix or governor trajectory.
-    const ExperimentConfig config;
-    const KernelSpec &kernel =
-        KernelCatalog::representative(MemIntensity::High);
-    const size_t top = FreqTable::msm8974().maxIndex();
-
-    std::vector<std::unique_ptr<CorunTask>> coruns;
-    std::vector<std::unique_ptr<Governor>> governors;
-    std::vector<RunContext::Params> specs;
-    for (unsigned i = 0; i < lanes; ++i) {
-        const WorkloadSpec spec = WorkloadSets::kernelOnly(kernel);
-        const uint64_t salt =
-            // dora:stream-tag-shared(same workload, same corun stream)
-            hashLabel("corun:" + spec.label()) % 4096;
-        coruns.push_back(
-            std::make_unique<CorunTask>(*spec.kernel, salt));
-        governors.push_back(std::make_unique<FixedGovernor>(top));
-        RunContext::Params p;
-        p.corun = coruns.back().get();
-        p.label = spec.label();
-        p.governor = governors.back().get();
-        p.initialFreq = top;
-        specs.push_back(std::move(p));
-    }
-    // Equal work per timed window — every rep simulates at least 8
-    // runs' worth of ticks regardless of lane count, so small-N and
-    // large-N rows see comparably long exposure to host contention —
-    // and best of three reps, since contention noise is one-sided
-    // (it only ever slows a window down).
-    const unsigned rounds = (8 + lanes - 1) / lanes;
-    double best = 0.0;
-    for (int rep = 0; rep < 3; ++rep) {
-        double ticks = 0.0, sec = 0.0;
-        for (unsigned round = 0; round < rounds; ++round) {
-            LaneBatchSimulator batch(config, specs);
-            const auto t0 = std::chrono::steady_clock::now();
-            batch.runAll();
-            const auto t1 = std::chrono::steady_clock::now();
-            sec += std::chrono::duration<double>(t1 - t0).count();
-            for (size_t i = 0; i < batch.size(); ++i)
-                ticks += batch.lane(i).sim().nowSec() / config.dtSec;
-        }
-        best = std::max(best, ticks / sec);
-    }
-    std::cout << "HOTPATH_LANE_TICKS_PER_SEC lanes=" << lanes << " "
-              << static_cast<uint64_t>(best) << "\n";
-}
-
 } // namespace
 
 int
@@ -224,7 +159,5 @@ main(int argc, char **argv)
     benchmark::RunSpecifiedBenchmarks();
     benchmark::Shutdown();
     printTickRate();
-    for (unsigned lanes : {1u, 4u, 8u, 16u})
-        printLaneRate(lanes);
     return 0;
 }

@@ -22,8 +22,6 @@ sharedFlags()
         {"--jobs", "N", "threads (default $DORA_JOBS, else all cores)"},
         {"--workers", "N",
          "worker processes (default $DORA_WORKERS, else 0)"},
-        {"--lanes", "N",
-         "lock-step runs per thread (default $DORA_LANES, else 1)"},
         {"--trace", "DIR", "write per-run traces under DIR"},
         {"--exact-ticks", nullptr, "walk the caches on every tick"},
     };

@@ -3,10 +3,10 @@
  * Shared command-line and environment parsing helpers.
  *
  * Every binary in the tree accepts a small set of long flags
- * (`--jobs`, `--workers`, `--lanes`, `--trace`, `--fleet-*`). Before
- * this helper existed each parser open-coded the scan and silently
- * ignored a trailing flag with a missing value (`dora-fleet --lanes`
- * fell through to the default lane count). Routing every flag through
+ * (`--jobs`, `--workers`, `--trace`, `--fleet-*`). Before this helper
+ * existed each parser open-coded the scan and silently ignored a
+ * trailing flag with a missing value (`dora-fleet --jobs` fell through
+ * to the default job count). Routing every flag through
  * cliFlagValue() makes a missing value a fatal diagnostic instead of
  * a silent misconfiguration, and cliCheckFlags() does the same for a
  * misspelled or unknown flag.
@@ -53,8 +53,8 @@ struct CliFlag
 /**
  * Reject every argument a binary does not declare. Each argument must
  * be one of @p flags, one of the shared flags every binary accepts
- * (`--jobs N`, `--workers N`, `--lanes N`, `--trace DIR`,
- * `--exact-ticks`), or the value of a separated `--flag value`.
+ * (`--jobs N`, `--workers N`, `--trace DIR`, `--exact-ticks`), or
+ * the value of a separated `--flag value`.
  * `--help` (or `-h`) prints the usage listing, headed by @p about, to
  * stdout and exits 0; anything undeclared is fatal, with the listing
  * on stderr. Call it first in main(), before any flag is read; value
@@ -65,8 +65,8 @@ void cliCheckFlags(int argc, char **argv, const char *about,
 
 /**
  * Parse @p text as a decimal integer in [@p min, @p max]; fatal()s
- * with @p origin (e.g. "--lanes" or "$DORA_LANES") in the diagnostic
- * on malformed or out-of-range input.
+ * with @p origin (e.g. "--workers" or "$DORA_WORKERS") in the
+ * diagnostic on malformed or out-of-range input.
  */
 long cliParseInt(const std::string &text, const char *origin, long min,
                  long max);
@@ -78,8 +78,8 @@ double cliParseDouble(const std::string &text, const char *origin,
 /**
  * getenv() that treats an empty-but-set variable as unset — loudly.
  *
- * `export DORA_LANES=` in a CI matrix used to behave exactly like the
- * variable being absent, hiding the misconfiguration. This helper
+ * `export DORA_WORKERS=` in a CI matrix used to behave exactly like
+ * the variable being absent, hiding the misconfiguration. This helper
  * warns (rate-limited via warn()) the first few times an empty-but-set
  * variable is consulted, then falls back to nullptr.
  */

@@ -2,22 +2,16 @@
 
 #include <algorithm>
 #include <cmath>
-#include <csignal>
 #include <sstream>
 
-#include "common/lanes.hh"
 #include "common/logging.hh"
 #include "common/rng.hh"
 #include "dora/features.hh"
 #include "dora/sample_io.hh"
-#include "exec/proc/supervisor.hh"
+#include "exec/cell_map.hh"
 #include "exec/thread_pool.hh"
 #include "obs/metrics.hh"
-#include "obs/trace.hh"
 #include "power/leakage.hh"
-#include "runner/measurement_io.hh"
-#include "sim/lane_batch.hh"
-#include "workloads/corun_task.hh"
 
 namespace dora
 {
@@ -53,11 +47,11 @@ trainingConfigHash(const TrainerConfig &config)
     text << " timeridge " << config.timeRidge << " powerridge "
          << config.powerRidge << " maxworkloads "
          << config.maxTrainingWorkloads;
-    // config.jobs, config.workers, config.lanes, and
-    // config.procJournalStem are deliberately not hashed: parallel,
-    // process-tier, and lane-batched collection are bit-identical to
-    // serial, so the execution tier does not shape the trained
-    // coefficients and must not invalidate cached bundles.
+    // config.jobs, config.workers, and config.procJournalStem are
+    // deliberately not hashed: parallel and process-tier collection
+    // are bit-identical to serial, so the execution tier does not
+    // shape the trained coefficients and must not invalidate cached
+    // bundles.
     return hashLabel(text.str());
 }
 
@@ -84,249 +78,51 @@ Trainer::collectSamples(const std::vector<WorkloadSpec> &workloads,
         if (workload.page == nullptr)
             fatal("Trainer::collectSamples: workload without a page");
 
-    // One cell per (workload, OPP) pair, fanned out across the pool.
-    // Every run constructs its own simulated device, so parallel
-    // collection is bit-identical to the legacy serial loop; results
-    // are assembled in grid order (workload-major).
+    // One cell per (workload, OPP) pair, fanned out through the cell
+    // map. Every run constructs its own simulated device, so any tier
+    // is bit-identical to the serial loop; results are assembled in
+    // grid order (workload-major).
     static MetricCounter &samples_collected =
         MetricsRegistry::global().counter("trainer.samples_collected");
     const size_t freqs = freq_indices.size();
-    auto to_sample = [&](size_t cell, const RunMeasurement &m) {
-        const WorkloadSpec &workload = workloads[cell / freqs];
-        const size_t f = freq_indices[cell % freqs];
-        samples_collected.add();
-        const OperatingPoint &opp = runner_.freqTable().opp(f);
-        TrainingSample s;
-        s.x = buildFeatureVector(workload.page->features, m.meanL2Mpki,
-                                 opp.coreMhz, opp.busMhz,
-                                 m.meanCorunUtil);
-        s.busMhz = opp.busMhz;
-        s.voltage = opp.voltage;
-        s.loadTimeSec = m.loadTimeSec;
-        s.meanPowerW = m.meanPowerW;
-        s.meanTempC = m.meanTempC;
-        return s;
-    };
-    auto run_cell = [&](ExperimentRunner &runner, size_t cell) {
-        const WorkloadSpec &workload = workloads[cell / freqs];
-        const size_t f = freq_indices[cell % freqs];
-        return to_sample(cell, runner.runAtFrequency(workload, f));
-    };
-
     const size_t cells = workloads.size() * freqs;
-    const ExperimentConfig experiment_config = runner_.config();
-    const unsigned lanes =
-        config_.lanes ? config_.lanes : defaultLaneCount();
-    const bool lane_tier = lanes > 1 && cells > 1;
+    const ExperimentConfig experiment = runner_.config();
 
-    // Lane tier: cells packed into batches of `lanes` runs advanced
-    // interleaved (sim/lane_batch.hh). Each cell mirrors
-    // runAtFrequency() — a FixedGovernor pinned at the OPP, which is
-    // also the initial frequency, and the run() corun salt recipe —
-    // so the samples are bit-identical to the per-cell tiers.
-    auto run_lane_batch = [&](size_t first, size_t count) {
-        std::vector<std::unique_ptr<Governor>> governors;
-        std::vector<std::unique_ptr<Task>> coruns;
-        std::vector<RunContext::Params> specs;
-        governors.reserve(count);
-        coruns.reserve(count);
-        specs.reserve(count);
-        for (size_t i = 0; i < count; ++i) {
-            const size_t cell = first + i;
+    CellMapConfig map;
+    map.jobs = config_.jobs ? config_.jobs : defaultJobCount();
+    map.workers = config_.workers;
+    std::ostringstream salt;
+    salt << "collectSamples " << trainingConfigHash(config_)
+         << " cells " << cells;
+    for (const auto &w : workloads)
+        salt << " " << w.label();
+    for (size_t f : freq_indices)
+        salt << " " << f;
+    map.campaignHash = hashLabel(salt.str());
+    map.journalStem = config_.procJournalStem;
+    map.who = "trainer";
+
+    return mapCells<TrainingSample>(
+        cells, map,
+        {serializeTrainingSample, tryDeserializeTrainingSample},
+        [&](size_t cell) {
             const WorkloadSpec &workload = workloads[cell / freqs];
             const size_t f = freq_indices[cell % freqs];
-            governors.push_back(std::make_unique<FixedGovernor>(f));
-            RunContext::Params p;
-            p.page = workload.page;
-            if (workload.kernel) {
-                const uint64_t salt =
-                    // dora:stream-tag-shared(same corun stream)
-                    hashLabel("corun:" + workload.label()) % 4096;
-                coruns.push_back(std::make_unique<CorunTask>(
-                    *workload.kernel, salt));
-                p.corun = coruns.back().get();
-            }
-            p.label = workload.label();
-            p.governor = governors.back().get();
-            p.initialFreq = f;
-            specs.push_back(std::move(p));
-        }
-        LaneBatchSimulator batch(experiment_config, std::move(specs));
-        const std::vector<RunMeasurement> ms = batch.finishAll();
-        std::vector<TrainingSample> out;
-        out.reserve(count);
-        for (size_t i = 0; i < count; ++i)
-            out.push_back(to_sample(first + i, ms[i]));
-        return out;
-    };
-    const size_t batches = lane_tier ? (cells + lanes - 1) / lanes : 0;
-    auto run_batch = [&](size_t b) {
-        const size_t first = b * lanes;
-        const size_t count = std::min<size_t>(lanes, cells - first);
-        return run_lane_batch(first, count);
-    };
-
-    if (config_.workers > 0 && lane_tier) {
-        // Process tier with lane batching: each worker unit is a
-        // whole batch, shipped as one packed payload. The lane count
-        // is folded into the campaign hash — a journal written at a
-        // different lane count has differently shaped units.
-        ProcSweepConfig proc;
-        proc.workers = config_.workers;
-        std::ostringstream salt;
-        salt << "collectSamples " << trainingConfigHash(config_)
-             << " cells " << cells;
-        for (const auto &w : workloads)
-            salt << " " << w.label();
-        for (size_t f : freq_indices)
-            salt << " " << f;
-        salt << " lanes " << lanes;
-        proc.campaignHash = hashLabel(salt.str());
-        if (!config_.procJournalStem.empty())
-            proc.journalPath = config_.procJournalStem + "." +
-                hexU64(proc.campaignHash) + ".jrn";
-
-        const ProcSweepReport report = runProcSweep(
-            proc, batches, [&](uint64_t b) {
-                const std::vector<TrainingSample> ss =
-                    run_batch(static_cast<size_t>(b));
-                std::vector<std::string> payloads;
-                payloads.reserve(ss.size());
-                for (const TrainingSample &s : ss)
-                    payloads.push_back(serializeTrainingSample(s));
-                return packPayloads(payloads);
-            });
-        if (report.drained) {
-            warn("trainer: campaign interrupted by signal %d with "
-                 "%llu batches journaled; re-run to resume",
-                 report.drainSignal,
-                 static_cast<unsigned long long>(report.unitsRun +
-                                                 report.unitsResumed));
-            ::raise(report.drainSignal);
-            fatal("trainer: campaign interrupted");
-        }
-        std::vector<TrainingSample> out(cells);
-        for (size_t b = 0; b < batches; ++b) {
-            const size_t first = b * lanes;
-            const size_t count = std::min<size_t>(lanes, cells - first);
-            if (!report.completed[b]) {
-                warn("trainer: batch %zu was quarantined by the "
-                     "process tier; recomputing in-process",
-                     b);
-                std::vector<TrainingSample> ss = run_lane_batch(first,
-                                                                count);
-                for (size_t i = 0; i < count; ++i)
-                    out[first + i] = std::move(ss[i]);
-                continue;
-            }
-            std::vector<std::string> payloads;
-            if (!tryUnpackPayloads(report.results[b], &payloads) ||
-                payloads.size() != count)
-                fatal("trainer: batch %zu payload from the process "
-                      "tier does not unpack (journal from an older "
-                      "build or a different lane count?); delete the "
-                      "journal and re-run",
-                      b);
-            for (size_t i = 0; i < count; ++i)
-                if (!tryDeserializeTrainingSample(payloads[i],
-                                                  &out[first + i]))
-                    fatal("trainer: batch %zu cell %zu payload from "
-                          "the process tier does not deserialize; "
-                          "delete the journal and re-run",
-                          b, i);
-        }
-        return out;
-    }
-    if (config_.workers > 0 && cells > 0) {
-        // Process tier: shard the campaign across worker subprocesses
-        // (crash isolation + checkpoint/resume). Cells are keyed by
-        // grid index and each constructs its own device, so the
-        // samples are bit-identical to the in-process paths.
-        ProcSweepConfig proc;
-        proc.workers = config_.workers;
-        std::ostringstream salt;
-        salt << "collectSamples " << trainingConfigHash(config_)
-             << " cells " << cells;
-        for (const auto &w : workloads)
-            salt << " " << w.label();
-        for (size_t f : freq_indices)
-            salt << " " << f;
-        proc.campaignHash = hashLabel(salt.str());
-        if (!config_.procJournalStem.empty())
-            proc.journalPath = config_.procJournalStem + "." +
-                hexU64(proc.campaignHash) + ".jrn";
-
-        const ProcSweepReport report = runProcSweep(
-            proc, cells, [&](uint64_t cell) {
-                ExperimentRunner local(experiment_config);
-                return serializeTrainingSample(
-                    run_cell(local, static_cast<size_t>(cell)));
-            });
-        if (report.drained) {
-            warn("trainer: campaign interrupted by signal %d with "
-                 "%llu cells journaled; re-run to resume",
-                 report.drainSignal,
-                 static_cast<unsigned long long>(report.unitsRun +
-                                                 report.unitsResumed));
-            ::raise(report.drainSignal);
-            fatal("trainer: campaign interrupted");
-        }
-        std::vector<TrainingSample> out(cells);
-        for (size_t cell = 0; cell < cells; ++cell) {
-            if (!report.completed[cell]) {
-                warn("trainer: cell %zu was quarantined by the "
-                     "process tier; recomputing in-process",
-                     cell);
-                ExperimentRunner local(experiment_config);
-                out[cell] = run_cell(local, cell);
-                continue;
-            }
-            if (!tryDeserializeTrainingSample(report.results[cell],
-                                              &out[cell]))
-                fatal("trainer: cell %zu payload from the process "
-                      "tier does not deserialize (journal from an "
-                      "older build?); delete the journal and re-run",
-                      cell);
-        }
-        return out;
-    }
-    const unsigned jobs =
-        config_.jobs ? config_.jobs : defaultJobCount();
-    if (lane_tier) {
-        // In-process lane tier: batches fanned across the pool (each
-        // pool job advances one whole batch), results flattened in
-        // grid order.
-        std::vector<std::vector<TrainingSample>> per_batch;
-        if (jobs <= 1 || batches <= 1) {
-            per_batch.reserve(batches);
-            for (size_t b = 0; b < batches; ++b)
-                per_batch.push_back(run_batch(b));
-        } else {
-            per_batch = parallelMap<std::vector<TrainingSample>>(
-                batches, run_batch, jobs);
-        }
-        std::vector<TrainingSample> out;
-        out.reserve(cells);
-        for (auto &batch : per_batch)
-            for (auto &s : batch)
-                out.push_back(std::move(s));
-        return out;
-    }
-    if (jobs <= 1 || cells <= 1) {
-        std::vector<TrainingSample> out;
-        out.reserve(cells);
-        for (size_t cell = 0; cell < cells; ++cell)
-            out.push_back(run_cell(runner_, cell));
-        return out;
-    }
-    const ExperimentConfig experiment = runner_.config();
-    return parallelMap<TrainingSample>(
-        cells,
-        [&](size_t cell) {
-            ExperimentRunner local(experiment);
-            return run_cell(local, cell);
-        },
-        jobs);
+            ExperimentRunner runner(experiment);
+            const RunMeasurement m = runner.runAtFrequency(workload, f);
+            samples_collected.add();
+            const OperatingPoint &opp = runner.freqTable().opp(f);
+            TrainingSample s;
+            s.x = buildFeatureVector(workload.page->features,
+                                     m.meanL2Mpki, opp.coreMhz,
+                                     opp.busMhz, m.meanCorunUtil);
+            s.busMhz = opp.busMhz;
+            s.voltage = opp.voltage;
+            s.loadTimeSec = m.loadTimeSec;
+            s.meanPowerW = m.meanPowerW;
+            s.meanTempC = m.meanTempC;
+            return s;
+        });
 }
 
 GaussNewtonResult

@@ -81,17 +81,6 @@ struct TrainerConfig
     unsigned workers = 0;  // dora:hash-exclude(bit-identical to workers=0)
 
     /**
-     * Lane batching (sim/lane_batch.hh) for the measurement campaign:
-     * cells are packed into batches of this many runs advanced
-     * interleaved on one thread. Composes with jobs (each pool job
-     * runs a batch) and workers (each worker unit is a batch).
-     * 0 = $DORA_LANES (see common/lanes.hh); <= 1 is the exact legacy
-     * per-cell path. Bit-identical at every lane count and, like jobs,
-     * excluded from trainingConfigHash().
-     */
-    unsigned lanes = 0;  // dora:hash-exclude(bit-identical at any lane count)
-
-    /**
      * Journal stem for process-tier campaigns: completed cells land in
      * `<stem>.<campaign-hash>.jrn` and a rerun resumes from them.
      * Empty disables journaling. Excluded from trainingConfigHash().

@@ -19,7 +19,7 @@
 #include "fault/fault_injector.hh"
 #include "harness/comparison.hh"
 #include "obs/trace.hh"
-#include "sim/lane_batch.hh"
+#include "runner/run_context.hh"
 #include "workloads/corun_task.hh"
 
 namespace dora
@@ -166,11 +166,8 @@ fleetCampaignHash(const FleetCampaignConfig &config)
 {
     // "rev2": bump on any change to the cell grid layout or the unit
     // payload format — the hash names resume journals and checkpoints.
-    // rev2 units are chunk aggregates (rev1 shipped raw measurements
-    // in lane-batch units), so the chunk width is part of the
-    // identity and the lane width no longer is: the lane contract
-    // makes every cell's measurement lane-invariant, so one journal
-    // resumes at any lane count.
+    // rev2 units are chunk aggregates (rev1 shipped raw measurements),
+    // so the chunk width is part of the identity.
     std::string text = "fleet-campaign-rev2 " +
         fleetSpecText(config.spec) + " protocol " +
         hexU64(experimentConfigHash(config.base)) + " governors";
@@ -197,8 +194,10 @@ FleetEngine::FleetEngine(FleetCampaignConfig config)
     validateFleetSpec(config_.spec);
     if (config_.governors.empty())
         fatal("FleetEngine: empty governor list");
-    if (config_.lanes == 0)
-        config_.lanes = 1;
+    if (config_.lanes != 1)
+        fatal("FleetEngine: lanes must be 1, got %u (lane batching "
+              "was removed; every cell runs alone)",
+              config_.lanes);
     if (config_.chunkDevices == 0)
         config_.chunkDevices = 1;
     if (config_.checkpointIntervalChunks == 0)
@@ -251,48 +250,20 @@ FleetEngine::makeCell(size_t cell_index, const DeviceSpec &sampled) const
     return cell;
 }
 
-std::vector<RunMeasurement>
-FleetEngine::runLaneBatch(size_t first, size_t count,
-                          const std::vector<DeviceSpec> &devices,
-                          size_t first_device) const
+RunMeasurement
+FleetEngine::runCell(size_t cell_index, const DeviceSpec &sampled) const
 {
-    const size_t gcount = config_.governors.size();
-    std::vector<DeviceCell> cells;
-    std::vector<LaneBatchSimulator::LaneSpec> specs;
-    cells.reserve(count);
-    specs.reserve(count);
-    for (size_t i = 0; i < count; ++i) {
-        const size_t cell_index = first + i;
-        cells.push_back(makeCell(
-            cell_index, devices[cell_index / gcount - first_device]));
-        const DeviceCell &cell = cells.back();
-        LaneBatchSimulator::LaneSpec spec;
-        spec.config = cell.config;
-        spec.params.page = cell.page;
-        spec.params.corun = cell.corun.get();
-        spec.params.label = cell.label;
-        spec.params.governor = cell.governor.get();
-        spec.params.fault = cell.fault.get();
-        specs.push_back(std::move(spec));
-    }
-    // A single lane is the exact legacy per-run path, so one code
-    // path serves every tier; count > 1 overlaps the devices'
-    // memory-walk miss chains (bit-identical by the lane contract).
-    LaneBatchSimulator batch(specs);
-    return batch.finishAll();
-}
-
-std::vector<RunMeasurement>
-FleetEngine::runBatch(size_t first, size_t count) const
-{
-    const size_t gcount = config_.governors.size();
-    const size_t first_device = first / gcount;
-    const size_t last_device = (first + count - 1) / gcount;
-    std::vector<DeviceSpec> devices;
-    devices.reserve(last_device - first_device + 1);
-    for (size_t d = first_device; d <= last_device; ++d)
-        devices.push_back(sampleDevice(config_.spec, d));
-    return runLaneBatch(first, count, devices, first_device);
+    const DeviceCell cell = makeCell(cell_index, sampled);
+    RunContext::Params params;
+    params.page = cell.page;
+    params.corun = cell.corun.get();
+    params.label = cell.label;
+    params.governor = cell.governor.get();
+    params.fault = cell.fault.get();
+    RunContext run(cell.config, params);
+    while (!run.done())
+        run.advance();
+    return run.finish();
 }
 
 FleetShardAggregate
@@ -322,18 +293,10 @@ FleetEngine::runChunk(size_t chunk_index) const
 
     FleetShardAggregate agg =
         FleetShardAggregate::forChunk(gcount, first);
-    const size_t lanes = config_.lanes;
-    for (size_t done = 0; done < count;) {
-        const size_t batch = std::min(lanes, count - done);
-        const std::vector<RunMeasurement> ms =
-            runLaneBatch(first + done, batch, devices, first_device);
-        for (size_t i = 0; i < batch; ++i) {
-            const size_t cell = first + done + i;
-            const size_t g = cell % gcount;
-            agg.pushCell(g, cohorts[cell / gcount - first_device],
-                         g == 0, ms[i]);
-        }
-        done += batch;
+    for (size_t cell = first; cell < first + count; ++cell) {
+        const size_t d = cell / gcount - first_device;
+        const size_t g = cell % gcount;
+        agg.pushCell(g, cohorts[d], g == 0, runCell(cell, devices[d]));
     }
     return agg;
 }
@@ -477,33 +440,6 @@ FleetEngine::runCampaignWithWorkers() const
     return campaign;
 }
 
-std::vector<RunMeasurement>
-FleetEngine::runAllCells() const
-{
-    const size_t n = cellCount();
-    const size_t lanes = config_.lanes;
-    const size_t batches = (n + lanes - 1) / lanes;
-    const auto run_batch = [&](size_t b) {
-        const size_t first = b * lanes;
-        return runBatch(first, std::min<size_t>(lanes, n - first));
-    };
-    std::vector<std::vector<RunMeasurement>> per_batch;
-    if (config_.jobs <= 1 || batches <= 1) {
-        per_batch.reserve(batches);
-        for (size_t b = 0; b < batches; ++b)
-            per_batch.push_back(run_batch(b));
-    } else {
-        per_batch = parallelMap<std::vector<RunMeasurement>>(
-            batches, run_batch, config_.jobs);
-    }
-    std::vector<RunMeasurement> results;
-    results.reserve(n);
-    for (auto &batch : per_batch)
-        for (auto &m : batch)
-            results.push_back(std::move(m));
-    return results;
-}
-
 FleetReport
 FleetEngine::buildReport(const FleetShardAggregate &campaign) const
 {
@@ -580,7 +516,8 @@ FleetEngine::replayDevice(size_t device_index,
     const size_t gcount = config_.governors.size();
     for (size_t g = 0; g < gcount; ++g)
         if (config_.governors[g] == governor)
-            return runBatch(device_index * gcount + g, 1).front();
+            return runCell(device_index * gcount + g,
+                           sampleDevice(config_.spec, device_index));
     fatal("FleetEngine::replayDevice: governor '%s' is not in this "
           "campaign",
           governor.c_str());

@@ -13,10 +13,9 @@
  *   --workers process tier (exec/proc supervisor; crash recovery and
  *             a checksummed resume journal bound to the campaign
  *             hash)
- *   --lanes   leaf tier (LaneBatchSimulator: N cells advanced
- *             interleaved per lane batch)
  *
- * and identical again after a mid-campaign kill + resume.
+ * and identical again after a mid-campaign kill + resume. Each cell
+ * drives one RunContext to completion.
  *
  * Aggregation is streaming: the campaign's cells are cut into
  * fixed-size chunks (whole devices, chunkDevices per chunk), each
@@ -33,10 +32,7 @@
  *
  * The campaign hash covers the spec text, the base ExperimentConfig
  * protocol hash, the governor list, and the chunk width, so a stale
- * journal/checkpoint from any other campaign is refused. Lane width
- * is deliberately NOT in the hash: the lane contract makes every
- * cell's measurement lane-invariant, so a journal written at one
- * lane count resumes correctly at any other.
+ * journal/checkpoint from any other campaign is refused.
  */
 
 #ifndef DORA_FLEET_CAMPAIGN_HH
@@ -71,8 +67,7 @@ struct FleetCampaignConfig
      * Campaign-wide measurement protocol. Per-device heterogeneity
      * (freqScale/voltageScale/thermalResistanceScale/ambientC) is
      * overwritten from each DeviceSpec; everything else — deadline,
-     * tick, SoC geometry — is shared, which is also what keeps the
-     * fused cross-lane memory walk valid across devices.
+     * tick, SoC geometry — is shared.
      */
     ExperimentConfig base;
 
@@ -81,7 +76,12 @@ struct FleetCampaignConfig
 
     unsigned jobs = 1;    //!< thread tier width (ignored when workers > 0)
     unsigned workers = 0; //!< process tier width (0 = in-process)
-    unsigned lanes = 1;   //!< cells per lane batch
+    /**
+     * Accepts only 1 (anything else is fatal): lane batching was
+     * removed, and the member stays only for callers that still set
+     * it.
+     */
+    unsigned lanes = 1;
 
     /**
      * Devices per aggregation chunk — the unit of the thread and
@@ -109,8 +109,7 @@ struct FleetCampaignConfig
 /**
  * Identity of a campaign's results: spec text, measurement protocol,
  * governor list, and chunk width (the process-tier unit is a chunk,
- * so the journal's unit space depends on it). Lane width is excluded
- * on purpose — measurements are lane-invariant by the lane contract.
+ * so the journal's unit space depends on it).
  */
 uint64_t fleetCampaignHash(const FleetCampaignConfig &config);
 
@@ -187,19 +186,11 @@ class FleetEngine
 
     /**
      * Re-run one (device, governor) cell alone. Bit-identical to the
-     * cell's in-campaign measurement at any tier combination (the
-     * lane-batch contract), which the fleet determinism suite
-     * enforces.
+     * cell's in-campaign measurement at any tier combination, which
+     * the fleet determinism suite enforces.
      */
     RunMeasurement replayDevice(size_t device_index,
                                 const std::string &governor) const;
-
-    /**
-     * Every cell's raw measurement in grid order — what run()
-     * reduces, materialized. For the determinism suite and debugging
-     * tools (O(devices) memory!); campaigns want the FleetReport.
-     */
-    std::vector<RunMeasurement> runAllCells() const;
 
     const FleetCampaignConfig &config() const { return config_; }
 
@@ -213,12 +204,9 @@ class FleetEngine
 
     DeviceCell makeCell(size_t cell_index,
                         const DeviceSpec &sampled) const;
-    std::vector<RunMeasurement> runLaneBatch(
-        size_t first, size_t count,
-        const std::vector<DeviceSpec> &devices,
-        size_t first_device) const;
-    std::vector<RunMeasurement> runBatch(size_t first,
-                                         size_t count) const;
+    /** Simulate cell @p cell_index of device @p sampled alone. */
+    RunMeasurement runCell(size_t cell_index,
+                           const DeviceSpec &sampled) const;
     FleetShardAggregate runChunk(size_t chunk_index) const;
     FleetShardAggregate runCampaignInProcess() const;
     FleetShardAggregate runCampaignWithWorkers() const;

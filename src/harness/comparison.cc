@@ -1,21 +1,16 @@
 #include "harness/comparison.hh"
 
-#include <algorithm>
-#include <csignal>
+#include <iterator>
 #include <optional>
 #include <sstream>
 
-#include "common/lanes.hh"
 #include "common/logging.hh"
 #include "common/rng.hh"
-#include "exec/proc/supervisor.hh"
+#include "exec/cell_map.hh"
 #include "exec/thread_pool.hh"
 #include "fault/fault_injector.hh"
 #include "obs/metrics.hh"
-#include "obs/trace.hh"
 #include "runner/measurement_io.hh"
-#include "sim/lane_batch.hh"
-#include "workloads/corun_task.hh"
 
 namespace dora
 {
@@ -127,7 +122,7 @@ ComparisonHarness::ComparisonHarness(
     const ExperimentConfig &config,
     std::shared_ptr<const ModelBundle> models, unsigned jobs)
     : runner_(config), models_(std::move(models)),
-      jobs_(jobs ? jobs : defaultJobCount()), lanes_(defaultLaneCount())
+      jobs_(jobs ? jobs : defaultJobCount())
 {
 }
 
@@ -179,46 +174,6 @@ ComparisonHarness::runOneWith(ExperimentRunner &runner,
     return runner.run(workload, *g);
 }
 
-ComparisonHarness::LaneCell
-ComparisonHarness::makeLaneCell(const WorkloadSpec &workload,
-                                const std::string &governor) const
-{
-    LaneCell cell;
-    cell.page = workload.page;
-    if (workload.kernel) {
-        // Same salt recipe as ExperimentRunner::run(): the "corun:"
-        // tag decorrelates the co-runner streams from the PageLoad
-        // salt ("page:" + the same label).
-        const uint64_t salt =
-            // dora:stream-tag-shared(same workload, same corun stream)
-            hashLabel("corun:" + workload.label()) % 4096;
-        cell.corun = std::make_unique<CorunTask>(*workload.kernel, salt);
-    }
-    cell.label = workload.label();
-    cell.governor = makeGovernor(governor);
-    return cell;
-}
-
-ComparisonHarness::LaneCell
-ComparisonHarness::makeLaneCell(const WorkloadSpec &workload,
-                                size_t freq_index) const
-{
-    // Mirrors runAtFrequency(): a FixedGovernor pinned at the OPP,
-    // which is also the initial frequency.
-    LaneCell cell;
-    cell.page = workload.page;
-    if (workload.kernel) {
-        const uint64_t salt =
-            // dora:stream-tag-shared(same workload, same corun stream)
-            hashLabel("corun:" + workload.label()) % 4096;
-        cell.corun = std::make_unique<CorunTask>(*workload.kernel, salt);
-    }
-    cell.label = workload.label();
-    cell.governor = std::make_unique<FixedGovernor>(freq_index);
-    cell.initialFreq = freq_index;
-    return cell;
-}
-
 RunMeasurement
 ComparisonHarness::runOne(const WorkloadSpec &workload,
                           const std::string &governor)
@@ -238,17 +193,12 @@ namespace
 uint64_t
 procCampaignHash(const ExperimentConfig &config,
                  const FaultInjector *injector, size_t n,
-                 uint64_t campaign_salt, unsigned lanes = 1)
+                 uint64_t campaign_salt)
 {
     std::ostringstream text;
     text.precision(17);
     text << "proc-campaign " << experimentConfigHash(config)
          << " cells " << n << " salt " << campaign_salt;
-    // Lane-batched campaigns key their journal separately: units are
-    // batches, so payload shapes differ from the cell-keyed journal
-    // even though the measurements inside are bit-identical.
-    if (lanes > 1)
-        text << " lanes " << lanes;
     if (injector) {
         const FaultSchedule &s = injector->schedule();
         text << " fault " << s.seed << " " << s.sensorDropProb << " "
@@ -265,257 +215,27 @@ procCampaignHash(const ExperimentConfig &config,
 } // namespace
 
 std::vector<RunMeasurement>
-ComparisonHarness::mapWithWorkers(
+ComparisonHarness::mapWithRunners(
     size_t n, uint64_t campaign_salt,
     const std::function<RunMeasurement(ExperimentRunner &, size_t)> &fn)
 {
     const ExperimentConfig config = runner_.config();
     const FaultInjector *shared_injector = runner_.faultInjector();
-    // Same cloning contract as the thread-pool arm: every cell gets a
-    // fresh runner (and a private injector built from the shared
-    // schedule), which is what makes any execution tier bit-identical
-    // to the serial loop.
-    const auto run_cell = [&](size_t i) {
-        ExperimentRunner local(config);
-        std::optional<FaultInjector> injector;
-        if (shared_injector) {
-            injector.emplace(shared_injector->schedule());
-            local.setFaultInjector(&*injector);
-        }
-        return fn(local, i);
-    };
-
-    ProcSweepConfig proc;
-    proc.workers = workers_;
-    proc.campaignHash =
+    CellMapConfig map;
+    map.jobs = jobs_;
+    map.workers = workers_;
+    map.campaignHash =
         procCampaignHash(config, shared_injector, n, campaign_salt);
-    if (!procJournalStem_.empty())
-        proc.journalPath = procJournalStem_ + "." +
-            hexU64(proc.campaignHash) + ".jrn";
+    map.journalStem = procJournalStem_;
+    map.who = "harness";
 
-    const ProcSweepReport report = runProcSweep(
-        proc, n, [&run_cell](uint64_t unit) {
-            return serializeRunMeasurement(
-                run_cell(static_cast<size_t>(unit)));
-        });
-
-    if (report.drained) {
-        // Progress (if journaled) is durable; exit the way a Ctrl-C'd
-        // process should so callers/scripts see the conventional
-        // signal status. A rerun resumes from the journal.
-        warn("harness: campaign interrupted by signal %d with %llu "
-             "cells journaled; re-run to resume",
-             report.drainSignal,
-             static_cast<unsigned long long>(report.unitsRun +
-                                             report.unitsResumed));
-        ::raise(report.drainSignal);
-        fatal("harness: campaign interrupted");  // signal was ignored
-    }
-
-    std::vector<RunMeasurement> results(n);
-    for (size_t i = 0; i < n; ++i) {
-        if (!report.completed[i]) {
-            // Quarantined cell (worker kept dying on it): recompute
-            // in-process so the sweep still returns a full grid — a
-            // deterministic crash will then surface here, in a
-            // debuggable process, instead of vanishing into a report.
-            warn("harness: cell %zu was quarantined by the process "
-                 "tier; recomputing in-process",
-                 i);
-            results[i] = run_cell(i);
-            continue;
-        }
-        if (!tryDeserializeRunMeasurement(report.results[i],
-                                          &results[i]))
-            fatal("harness: cell %zu payload from the process tier "
-                  "does not deserialize (journal from an older "
-                  "build?); delete the journal and re-run",
-                  i);
-    }
-    return results;
-}
-
-std::vector<RunMeasurement>
-ComparisonHarness::runLaneBatch(size_t first, size_t count,
-                                const LaneCellFn &make_cell)
-{
-    // Same cloning contract as the thread/process tiers: every lane
-    // owns a private fault injector built from the shared schedule,
-    // reset at RunContext construction, so each lane reproduces the
-    // serial per-run fault stream exactly.
-    const FaultInjector *shared_injector = runner_.faultInjector();
-    std::vector<LaneCell> cells;
-    std::vector<std::unique_ptr<FaultInjector>> injectors;
-    std::vector<RunContext::Params> specs;
-    cells.reserve(count);
-    injectors.reserve(count);
-    specs.reserve(count);
-    for (size_t i = 0; i < count; ++i) {
-        cells.push_back(make_cell(first + i));
-        const LaneCell &cell = cells.back();
-        RunContext::Params p;
-        p.page = cell.page;
-        p.corun = cell.corun.get();
-        p.label = cell.label;
-        p.governor = cell.governor.get();
-        p.initialFreq = cell.initialFreq;
-        if (shared_injector) {
-            injectors.push_back(std::make_unique<FaultInjector>(
-                shared_injector->schedule()));
-            p.fault = injectors.back().get();
-        }
-        specs.push_back(std::move(p));
-    }
-    LaneBatchSimulator batch(runner_.config(), std::move(specs));
-    return batch.finishAll();
-}
-
-std::vector<RunMeasurement>
-ComparisonHarness::mapWithLanes(size_t n, const LaneCellFn &make_cell)
-{
-    const size_t batches = (n + lanes_ - 1) / lanes_;
-    const auto run_batch = [&](size_t b) {
-        const size_t first = b * lanes_;
-        const size_t count = std::min<size_t>(lanes_, n - first);
-        return runLaneBatch(first, count, make_cell);
-    };
     static MetricCounter &cells_queued =
         MetricsRegistry::global().counter("harness.cells_queued");
     static MetricCounter &cells_done =
         MetricsRegistry::global().counter("harness.cells_done");
     cells_queued.add(n);
-
-    std::vector<std::vector<RunMeasurement>> per_batch;
-    if (jobs_ <= 1 || batches <= 1) {
-        per_batch.reserve(batches);
-        for (size_t b = 0; b < batches; ++b)
-            per_batch.push_back(run_batch(b));
-    } else {
-        per_batch = parallelMap<std::vector<RunMeasurement>>(
-            batches, run_batch, jobs_);
-    }
-    std::vector<RunMeasurement> results;
-    results.reserve(n);
-    for (auto &batch : per_batch)
-        for (auto &m : batch) {
-            results.push_back(std::move(m));
-            cells_done.add();
-        }
-    return results;
-}
-
-std::vector<RunMeasurement>
-ComparisonHarness::mapWithWorkersLanes(size_t n, uint64_t campaign_salt,
-                                       const LaneCellFn &make_cell)
-{
-    const size_t batches = (n + lanes_ - 1) / lanes_;
-    const auto run_batch = [&](size_t b) {
-        const size_t first = b * lanes_;
-        const size_t count = std::min<size_t>(lanes_, n - first);
-        return runLaneBatch(first, count, make_cell);
-    };
-
-    ProcSweepConfig proc;
-    proc.workers = workers_;
-    proc.campaignHash =
-        procCampaignHash(runner_.config(), runner_.faultInjector(), n,
-                         campaign_salt, lanes_);
-    if (!procJournalStem_.empty())
-        proc.journalPath = procJournalStem_ + "." +
-            hexU64(proc.campaignHash) + ".jrn";
-
-    const ProcSweepReport report = runProcSweep(
-        proc, batches, [&run_batch](uint64_t b) {
-            const std::vector<RunMeasurement> ms =
-                run_batch(static_cast<size_t>(b));
-            std::vector<std::string> payloads;
-            payloads.reserve(ms.size());
-            for (const RunMeasurement &m : ms)
-                payloads.push_back(serializeRunMeasurement(m));
-            return packPayloads(payloads);
-        });
-
-    if (report.drained) {
-        warn("harness: campaign interrupted by signal %d with %llu "
-             "batches journaled; re-run to resume",
-             report.drainSignal,
-             static_cast<unsigned long long>(report.unitsRun +
-                                             report.unitsResumed));
-        ::raise(report.drainSignal);
-        fatal("harness: campaign interrupted");  // signal was ignored
-    }
-
-    std::vector<RunMeasurement> results(n);
-    for (size_t b = 0; b < batches; ++b) {
-        const size_t first = b * lanes_;
-        const size_t count = std::min<size_t>(lanes_, n - first);
-        if (!report.completed[b]) {
-            warn("harness: batch %zu was quarantined by the process "
-                 "tier; recomputing in-process",
-                 b);
-            std::vector<RunMeasurement> ms = run_batch(b);
-            for (size_t i = 0; i < count; ++i)
-                results[first + i] = std::move(ms[i]);
-            continue;
-        }
-        std::vector<std::string> payloads;
-        if (!tryUnpackPayloads(report.results[b], &payloads) ||
-            payloads.size() != count)
-            fatal("harness: batch %zu payload from the process tier "
-                  "does not unpack (journal from an older build or a "
-                  "different lane count?); delete the journal and "
-                  "re-run",
-                  b);
-        for (size_t i = 0; i < count; ++i)
-            if (!tryDeserializeRunMeasurement(payloads[i],
-                                              &results[first + i]))
-                fatal("harness: batch %zu cell %zu payload from the "
-                      "process tier does not deserialize; delete the "
-                      "journal and re-run",
-                      b, i);
-    }
-    return results;
-}
-
-std::vector<RunMeasurement>
-ComparisonHarness::mapWithRunners(
-    size_t n, uint64_t campaign_salt,
-    const std::function<RunMeasurement(ExperimentRunner &, size_t)> &fn,
-    const LaneCellFn &make_cell)
-{
-    const bool lane_tier = lanes_ > 1 && n > 1 && make_cell != nullptr;
-    if (workers_ > 0 && n > 0) {
-        if (lane_tier)
-            return mapWithWorkersLanes(n, campaign_salt, make_cell);
-        return mapWithWorkers(n, campaign_salt, fn);
-    }
-    if (lane_tier)
-        return mapWithLanes(n, make_cell);
-    if (jobs_ <= 1 || n <= 1) {
-        // Legacy serial path: every cell on the member runner.
-        std::vector<RunMeasurement> results;
-        results.reserve(n);
-        for (size_t i = 0; i < n; ++i)
-            results.push_back(fn(runner_, i));
-        return results;
-    }
-
-    // Each cell gets a runner cloned from the member runner: same
-    // config, and — when a fault injector is attached — a private
-    // injector built from the same schedule. Injectors are reset at
-    // the start of every run, so a cloned injector reproduces the
-    // member injector's per-run fault stream exactly; that (plus
-    // per-run construction of SoC/power/RNG state) is what makes the
-    // parallel results bit-identical to the serial ones.
-    const ExperimentConfig config = runner_.config();
-    const FaultInjector *shared_injector = runner_.faultInjector();
-    static MetricCounter &cells_queued =
-        MetricsRegistry::global().counter("harness.cells_queued");
-    static MetricCounter &cells_done =
-        MetricsRegistry::global().counter("harness.cells_done");
-    cells_queued.add(n);
-    return parallelMap<RunMeasurement>(
-        n,
+    return mapCells<RunMeasurement>(
+        n, map, {serializeRunMeasurement, tryDeserializeRunMeasurement},
         [&](size_t i) {
             ExperimentRunner local(config);
             std::optional<FaultInjector> injector;
@@ -526,8 +246,7 @@ ComparisonHarness::mapWithRunners(
             RunMeasurement m = fn(local, i);
             cells_done.add();
             return m;
-        },
-        jobs_);
+        });
 }
 
 std::vector<ComparisonRecord>
@@ -548,10 +267,6 @@ ComparisonHarness::runAll(const std::vector<WorkloadSpec> &workloads,
             const WorkloadSpec &workload = workloads[i / names.size()];
             const std::string &name = names[i % names.size()];
             return runOneWith(runner, workload, name);
-        },
-        [&](size_t i) {
-            return makeLaneCell(workloads[i / names.size()],
-                                names[i % names.size()]);
         });
 
     std::vector<ComparisonRecord> records;
@@ -603,8 +318,7 @@ ComparisonHarness::offlineOpt(const WorkloadSpec &workload)
         freqs, hashLabel("offlineOpt " + workload.label()),
         [&](ExperimentRunner &runner, size_t f) {
             return runner.runAtFrequency(workload, f);
-        },
-        [&](size_t f) { return makeLaneCell(workload, f); }));
+        }));
 }
 
 std::vector<RunMeasurement>
@@ -620,9 +334,6 @@ ComparisonHarness::offlineOptMany(
         workloads.size() * freqs, hashLabel(salt.str()),
         [&](ExperimentRunner &runner, size_t i) {
             return runner.runAtFrequency(workloads[i / freqs], i % freqs);
-        },
-        [&](size_t i) {
-            return makeLaneCell(workloads[i / freqs], i % freqs);
         });
 
     std::vector<RunMeasurement> results;

@@ -164,49 +164,6 @@ MemSystem::fillResults(const std::vector<MemSampleRequest> &requests,
 }
 
 void
-MemSystem::tickSampleMany(WalkJob *jobs, size_t n)
-{
-    // First sweep: every system sizes its walk. Eligible batched-walk
-    // systems stop after phases A+B (generation + private L1s, both
-    // lane-local); the rest complete their whole walk here, exactly as
-    // a standalone tickSample() would.
-    for (size_t j = 0; j < n; ++j) {
-        MemSystem &m = *jobs[j].mem;
-        jobs[j].fused = false;
-        if (m.buildLive(*jobs[j].requests)) {
-            if (m.batchedWalk_ &&
-                m.batchedWalkEligible(*jobs[j].requests)) {
-                m.walkBatchedPrepare(m.liveScratch_);
-                jobs[j].fused = true;
-            } else {
-                m.walkInterleaved(m.liveScratch_);
-            }
-        }
-    }
-
-    // Second sweep: interleave the shared-L2 drains of the fused
-    // systems at round-robin pass granularity. Each system executes
-    // its own passes in order — per-system results stay bit-identical
-    // to tickSample() — but consecutive passes touch different
-    // hierarchies, so their independent miss chains overlap in the
-    // host pipeline instead of serializing lane after lane.
-    bool more = true;
-    for (uint64_t p = 0; more; ++p) {
-        more = false;
-        for (size_t j = 0; j < n; ++j) {
-            MemSystem &m = *jobs[j].mem;
-            if (!jobs[j].fused || p >= m.walkPasses_)
-                continue;
-            m.walkBatchedDrain(m.liveScratch_, p, p + 1);
-            more = more || p + 1 < m.walkPasses_;
-        }
-    }
-
-    for (size_t j = 0; j < n; ++j)
-        jobs[j].mem->fillResults(*jobs[j].requests, *jobs[j].results);
-}
-
-void
 MemSystem::walkInterleaved(std::vector<LiveStream> &live)
 {
     // Weighted round-robin in chunks: each pass, every still-live stream
@@ -267,9 +224,7 @@ MemSystem::walkBatched(std::vector<LiveStream> &live)
     // C drains those misses into the shared L2 along the legacy
     // round-robin chunk schedule, so the shared-state access order is
     // untouched. Inner loops run over hoisted raw pointers (enforced
-    // by the dora-perf-lane-alias lint rule). The phase split is also
-    // the fusion point for lane batches: tickSampleMany() runs phases
-    // A+B per lane and interleaves the drains pass by pass.
+    // by the dora-perf-lane-alias lint rule).
     walkBatchedPrepare(live);
     walkBatchedDrain(live, 0, walkPasses_);
 }
@@ -484,8 +439,7 @@ MemSystem::walkBatchedDrain(std::vector<LiveStream> &live,
         }
     }
     l2.accessClock_ = clock2;
-    // Stats commit exactly once per walk, after the final pass (drains
-    // may arrive one pass at a time through tickSampleMany()).
+    // Stats commit exactly once per walk, after the final pass.
     if (pass_end >= walkPasses_) {
         for (size_t r = 0; r < n_req; ++r) {
             CacheStats &st = stats2[live[r].req->core];

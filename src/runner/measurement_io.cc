@@ -93,34 +93,4 @@ tryDeserializeRunMeasurement(std::string_view bytes,
     return true;
 }
 
-std::string
-packPayloads(const std::vector<std::string> &payloads)
-{
-    SnapshotWriter w;
-    w.beginSection("pack", 1);
-    w.putSize(payloads.size());
-    for (const std::string &p : payloads)
-        w.putString(p);
-    return w.finish();
-}
-
-bool
-tryUnpackPayloads(std::string_view bytes, std::vector<std::string> *out)
-{
-    SnapshotReader r(bytes);
-    if (!r.checksumOk() || !r.beginSection("pack", 1))
-        return false;
-    size_t count;
-    if (!r.getSize(&count))
-        return false;
-    std::vector<std::string> payloads(count);
-    for (std::string &p : payloads)
-        if (!r.getString(&p))
-            return false;
-    if (!r.atEnd())
-        return false;
-    *out = std::move(payloads);
-    return true;
-}
-
 } // namespace dora

@@ -16,7 +16,6 @@
 
 #include <string>
 #include <string_view>
-#include <vector>
 
 #include "runner/experiment.hh"
 
@@ -33,19 +32,6 @@ std::string serializeRunMeasurement(const RunMeasurement &m);
  */
 [[nodiscard]] bool
 tryDeserializeRunMeasurement(std::string_view bytes, RunMeasurement *out);
-
-/**
- * Concatenate payloads into one checksummed buffer (the process tier
- * ships a whole lane batch as one unit result).
- */
-std::string packPayloads(const std::vector<std::string> &payloads);
-
-/**
- * Invert packPayloads(). On checksum/shape mismatch returns false and
- * leaves @p out untouched.
- */
-[[nodiscard]] bool
-tryUnpackPayloads(std::string_view bytes, std::vector<std::string> *out);
 
 } // namespace dora
 

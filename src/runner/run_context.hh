@@ -6,18 +6,16 @@
  * The legacy run loop owned everything on its stack: the simulated
  * device, the governor driver, the page load, and the window
  * accumulators lived inside one function from warmup to finalization.
- * RunContext hoists that state into an object with an advance() step so
- * that N independent runs can be interleaved on one thread — the lane
- * batch (LaneBatchSimulator) round-robins contexts, and in exact-ticks
- * mode splits each step into advanceBegin()/advanceFinish() so the
- * memory walks of all lanes can be fused into one cross-lane batch
- * (MemSystem::tickSampleMany).
+ * RunContext hoists that state into an object with an advance() step,
+ * so a run can be driven step by step, snapshotted and rewound mid-run
+ * (tests/runner/runner_test.cc), and, in exact-ticks mode, split into
+ * advanceBegin()/advanceFinish() around its memory walk so each half
+ * can be timed on its own.
  *
  * Contract: driving a RunContext with `while (!done()) advance();
  * finish()` reproduces the legacy loop bit-for-bit — the transition
  * points, latch order, and accumulator arithmetic are the same
- * statements in the same order (tests/runner/lane_batch_test.cc pins
- * this down at every lane count).
+ * statements in the same order.
  */
 
 #ifndef DORA_RUNNER_RUN_CONTEXT_HH
@@ -152,8 +150,8 @@ class RunContext
     {
         Finished,  //!< run complete; no step pending
         NoWalk,    //!< step needs no memory walk: call advanceFinish()
-        Walk,      //!< walk pending: fuse soc().walkJob() or walk
-                   //!< locally, then advanceFinish()
+        Walk,      //!< walk pending: soc().tickWalkLocal(), then
+                   //!< advanceFinish()
     };
 
     RunContext(const ExperimentConfig &config, const Params &params);

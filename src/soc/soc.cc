@@ -109,19 +109,6 @@ Soc::tickWalkLocal()
     sampling_.store(resultScratch_);
 }
 
-MemSystem::WalkJob
-Soc::walkJob()
-{
-    return MemSystem::WalkJob{&mem_, &requestScratch_, &resultScratch_,
-                              false};
-}
-
-void
-Soc::tickWalkStore()
-{
-    sampling_.store(resultScratch_);
-}
-
 void
 Soc::tickFinish(double dt_sec, SocTickSummary &summary)
 {

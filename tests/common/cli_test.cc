@@ -3,12 +3,14 @@
  * Tests for the shared CLI/env parsing helpers (common/cli.hh) and
  * the silent-misconfiguration regressions they fix:
  *
- *  - a trailing flag with a missing value (`bench --lanes`) used to be
- *    silently ignored by the --lanes/--jobs/--trace parsers; it must
- *    now exit fatally with a diagnostic naming the flag;
- *  - an empty-but-set environment variable (`export DORA_LANES=`) used
+ *  - a trailing flag with a missing value (`bench --jobs`) used to be
+ *    silently ignored by the --jobs/--trace parsers; it must now exit
+ *    fatally with a diagnostic naming the flag;
+ *  - an empty-but-set environment variable (`export DORA_JOBS=`) used
  *    to behave exactly like an unset one; it must now warn (once,
- *    rate-limited) and then fall back.
+ *    rate-limited) and then fall back;
+ *  - an undeclared flag, such as the removed `--lanes`, used to be
+ *    ignored; it must now exit fatally with the usage listing.
  */
 
 #include <gtest/gtest.h>
@@ -20,7 +22,6 @@
 #include <vector>
 
 #include "common/cli.hh"
-#include "common/lanes.hh"
 #include "common/logging.hh"
 #include "exec/thread_pool.hh"
 #include "obs/trace.hh"
@@ -83,18 +84,18 @@ TEST(CliFlagValue, AbsentFlagReturnsNullopt)
 {
     Argv args({"bench", "--other", "7"});
     EXPECT_FALSE(
-        cliFlagValue(args.argc(), args.argv(), "--lanes").has_value());
+        cliFlagValue(args.argc(), args.argv(), "--workers").has_value());
 }
 
 TEST(CliFlagValue, SeparatedAndInlineSpellings)
 {
-    Argv separated({"bench", "--lanes", "8"});
+    Argv separated({"bench", "--workers", "8"});
     EXPECT_EQ(cliFlagValue(separated.argc(), separated.argv(),
-                           "--lanes"),
+                           "--workers"),
               "8");
 
-    Argv inlined({"bench", "--lanes=16"});
-    EXPECT_EQ(cliFlagValue(inlined.argc(), inlined.argv(), "--lanes"),
+    Argv inlined({"bench", "--workers=16"});
+    EXPECT_EQ(cliFlagValue(inlined.argc(), inlined.argv(), "--workers"),
               "16");
 }
 
@@ -102,36 +103,30 @@ TEST(CliFlagValue, LastOccurrenceWins)
 {
     // Wrapper scripts append overrides, so later flags must shadow
     // earlier ones in both spellings.
-    Argv args({"bench", "--lanes", "2", "--lanes=4", "--lanes", "6"});
-    EXPECT_EQ(cliFlagValue(args.argc(), args.argv(), "--lanes"), "6");
+    Argv args(
+        {"bench", "--workers", "2", "--workers=4", "--workers", "6"});
+    EXPECT_EQ(cliFlagValue(args.argc(), args.argv(), "--workers"), "6");
 }
 
 TEST(CliFlagValue, PrefixIsNotAMatch)
 {
-    // --lanes must not swallow --lanes-foo (and vice versa).
-    Argv args({"bench", "--lanes-foo", "3"});
+    // --workers must not swallow --workers-foo (and vice versa).
+    Argv args({"bench", "--workers-foo", "3"});
     EXPECT_FALSE(
-        cliFlagValue(args.argc(), args.argv(), "--lanes").has_value());
+        cliFlagValue(args.argc(), args.argv(), "--workers").has_value());
 }
 
 using CliDeath = ::testing::Test;
 
 TEST(CliDeath, TrailingFlagWithoutValueIsFatal)
 {
-    Argv args({"bench", "--lanes"});
-    EXPECT_EXIT(cliFlagValue(args.argc(), args.argv(), "--lanes"),
-                ::testing::ExitedWithCode(1), "--lanes: missing value");
+    Argv args({"bench", "--workers"});
+    EXPECT_EXIT(cliFlagValue(args.argc(), args.argv(), "--workers"),
+                ::testing::ExitedWithCode(1), "--workers: missing value");
 }
 
-// The three historical offenders: each parser silently ignored a
+// The historical offenders: each parser silently ignored a
 // trailing flag before they were routed through cliFlagValue().
-
-TEST(CliDeath, TrailingLanesFlagIsFatal)
-{
-    Argv args({"bench", "--lanes"});
-    EXPECT_EXIT(laneCountFromArgs(args.argc(), args.argv()),
-                ::testing::ExitedWithCode(1), "--lanes: missing value");
-}
 
 TEST(CliDeath, TrailingJobsFlagIsFatal)
 {
@@ -149,18 +144,18 @@ TEST(CliDeath, TrailingTraceFlagIsFatal)
 
 TEST(CliDeath, MalformedIntIsFatal)
 {
-    EXPECT_EXIT(cliParseInt("4x", "--lanes", 1, 4096),
-                ::testing::ExitedWithCode(1), "--lanes");
+    EXPECT_EXIT(cliParseInt("4x", "--workers", 1, 4096),
+                ::testing::ExitedWithCode(1), "--workers");
     EXPECT_EXIT(cliParseInt("", "--jobs", 1, 1024),
                 ::testing::ExitedWithCode(1), "--jobs");
 }
 
 TEST(CliDeath, OutOfRangeIntIsFatal)
 {
-    EXPECT_EXIT(cliParseInt("0", "--lanes", 1, 4096),
-                ::testing::ExitedWithCode(1), "--lanes");
-    EXPECT_EXIT(cliParseInt("5000", "--lanes", 1, 4096),
-                ::testing::ExitedWithCode(1), "--lanes");
+    EXPECT_EXIT(cliParseInt("0", "--workers", 1, 4096),
+                ::testing::ExitedWithCode(1), "--workers");
+    EXPECT_EXIT(cliParseInt("5000", "--workers", 1, 4096),
+                ::testing::ExitedWithCode(1), "--workers");
 }
 
 TEST(CliDeath, MalformedDoubleIsFatal)
@@ -186,8 +181,8 @@ checkFleetFlags(Argv &args)
 TEST(CliCheckFlags, DeclaredAndSharedFlagsPass)
 {
     Argv args({"dora-fleet", "--fleet-devices", "3", "--fleet-journal=j",
-               "--verbose", "--jobs", "2", "--workers=1", "--lanes", "4",
-               "--trace", "dir", "--exact-ticks"});
+               "--verbose", "--jobs", "2", "--workers=1", "--trace", "dir",
+               "--exact-ticks"});
     checkFleetFlags(args);
 }
 
@@ -205,6 +200,15 @@ TEST(CliDeath, UndeclaredFlagIsFatalWithUsage)
     EXPECT_EXIT(checkFleetFlags(args), ::testing::ExitedWithCode(1),
                 "usage: dora-fleet.*--fleet-devices N.*--jobs N.*"
                 "unknown flag '--fleet-devicez'");
+}
+
+TEST(CliDeath, RemovedLanesFlagIsFatal)
+{
+    // Lane batching is gone; a script still passing --lanes must
+    // fail loudly instead of silently running without it.
+    Argv args({"dora-fleet", "--lanes", "8"});
+    EXPECT_EXIT(checkFleetFlags(args), ::testing::ExitedWithCode(1),
+                "usage: dora-fleet.*unknown flag '--lanes'");
 }
 
 TEST(CliDeath, UndeclaredInlineFlagIsFatal)
@@ -241,7 +245,7 @@ TEST(CliDeath, HelpPrintsUsageAndExitsZero)
 
 TEST(CliParse, AcceptsValuesInsideRange)
 {
-    EXPECT_EQ(cliParseInt("8", "--lanes", 1, 4096), 8);
+    EXPECT_EQ(cliParseInt("8", "--workers", 1, 4096), 8);
     EXPECT_EQ(cliParseInt("1", "--jobs", 1, 1024), 1);
     EXPECT_DOUBLE_EQ(cliParseDouble("0.25", "--x", 0.0, 1.0), 0.25);
 }
@@ -289,19 +293,6 @@ TEST(EnvNonEmpty, EmptyWarningIsRateLimited)
     // "suppressing further repeats" notice.
     EXPECT_LE(lines, warnEmitLimit() + 1);
     EXPECT_GE(warnSuppressedTotal(), 10u);
-    resetWarnSuppression();
-}
-
-TEST(EnvNonEmpty, EmptyLanesVarFallsBackToOneLane)
-{
-    // End-to-end: `export DORA_LANES=` must behave like unset (one
-    // lane), not crash, not pick a stale value.
-    ScopedEnv env("DORA_LANES", "");
-    resetWarnSuppression();
-    ::testing::internal::CaptureStderr();
-    EXPECT_EQ(defaultLaneCount(), 1u);
-    const std::string err = ::testing::internal::GetCapturedStderr();
-    EXPECT_NE(err.find("DORA_LANES"), std::string::npos) << err;
     resetWarnSuppression();
 }
 

@@ -5,7 +5,7 @@
  *  - sampleDevice() is deterministic, order-independent, in-range,
  *    and stable against faultIncidence flips;
  *  - the same FleetSpec produces a byte-identical population and
- *    aggregate report at every (jobs, workers, lanes) combination;
+ *    aggregate report at every (jobs, workers) combination;
  *  - replayDevice() reproduces an in-campaign cell bit-exactly;
  *  - a supervisor SIGKILLed mid-campaign resumes from the journal to
  *    a byte-identical report;
@@ -50,7 +50,7 @@ namespace
  * fault incidence high enough that the fault path is exercised.
  */
 FleetCampaignConfig
-smallCampaign(unsigned jobs, unsigned workers, unsigned lanes,
+smallCampaign(unsigned jobs, unsigned workers,
               const std::string &stem = "")
 {
     FleetCampaignConfig config;
@@ -61,7 +61,6 @@ smallCampaign(unsigned jobs, unsigned workers, unsigned lanes,
     config.base.maxLoadSec = 1.0;
     config.jobs = jobs;
     config.workers = workers;
-    config.lanes = lanes;
     config.journalStem = stem;
     return config;
 }
@@ -190,57 +189,63 @@ TEST(FleetSpec, FaultIncidenceFlipPerturbsNoOtherDraw)
 
 TEST(FleetDeterminism, TierCombinationsAreByteIdentical)
 {
-    FleetEngine baseline(smallCampaign(1, 0, 1));
-    const FleetReport ref = baseline.run();
-    const std::string ref_text = fleetReportText(ref);
-    ASSERT_FALSE(ref_text.empty());
+    // One chunk of all 5 devices, and chunks of 2 devices, which
+    // leave an uneven tail chunk of one device.
+    for (const unsigned chunk_devices : {32u, 2u}) {
+        FleetCampaignConfig base = smallCampaign(1, 0);
+        base.chunkDevices = chunk_devices;
+        const FleetReport ref = FleetEngine(base).run();
+        const std::string ref_text = fleetReportText(ref);
+        ASSERT_FALSE(ref_text.empty());
 
-    struct Combo
-    {
-        unsigned jobs, workers, lanes;
-    };
-    // Thread tier, lane tier, process tier, and an uneven tail batch
-    // (5 devices x 2 governors = 10 cells; lanes=3 leaves a rump).
-    const Combo combos[] = {{2, 0, 2}, {1, 0, 3}, {1, 2, 2}};
-    for (const Combo &c : combos) {
-        FleetEngine engine(smallCampaign(c.jobs, c.workers, c.lanes));
-        const FleetReport report = engine.run();
-        EXPECT_EQ(report.populationDigest, ref.populationDigest)
-            << "jobs=" << c.jobs << " workers=" << c.workers
-            << " lanes=" << c.lanes;
-        EXPECT_EQ(fleetReportText(report), ref_text)
-            << "jobs=" << c.jobs << " workers=" << c.workers
-            << " lanes=" << c.lanes;
+        struct Combo
+        {
+            unsigned jobs, workers;
+        };
+        // Thread tier and process tier.
+        for (const Combo &c : {Combo{2, 0}, Combo{1, 2}}) {
+            FleetCampaignConfig config = base;
+            config.jobs = c.jobs;
+            config.workers = c.workers;
+            const FleetReport report = FleetEngine(config).run();
+            EXPECT_EQ(report.populationDigest, ref.populationDigest)
+                << "jobs=" << c.jobs << " workers=" << c.workers
+                << " chunk=" << chunk_devices;
+            EXPECT_EQ(fleetReportText(report), ref_text)
+                << "jobs=" << c.jobs << " workers=" << c.workers
+                << " chunk=" << chunk_devices;
+        }
     }
 }
 
 TEST(FleetDeterminism, ReplayMatchesInCampaignCell)
 {
-    FleetEngine engine(smallCampaign(1, 0, 4));
-    const auto cells = engine.runAllCells();
+    FleetEngine engine(smallCampaign(1, 0));
+    const FleetReport report = engine.run();
     const auto &governors = engine.config().governors;
-    ASSERT_EQ(cells.size(),
-              engine.config().spec.devices * governors.size());
+    const size_t devices = engine.config().spec.devices;
 
-    // Replay a few devices under each governor; each must be
-    // bit-identical to its in-campaign cell even though the campaign
-    // ran them 4-to-a-batch and the replay runs them alone.
-    for (const size_t device : {size_t{0}, size_t{3}}) {
-        for (size_t g = 0; g < governors.size(); ++g) {
-            const RunMeasurement replayed =
-                engine.replayDevice(device, governors[g]);
-            const RunMeasurement &in_campaign =
-                cells[device * governors.size() + g];
-            EXPECT_EQ(runMeasurementText(replayed),
-                      runMeasurementText(in_campaign))
-                << "device " << device << " governor " << governors[g];
-        }
+    // Replay every cell alone and fold the replays the way the
+    // campaign folds its one chunk: the digest chain over the cells'
+    // measurement digests must come out bit-identical.
+    FleetShardAggregate chunk =
+        FleetShardAggregate::forChunk(governors.size(), 0);
+    for (size_t device = 0; device < devices; ++device) {
+        const std::string cohort =
+            sampleDevice(engine.config().spec, device).cohort();
+        for (size_t g = 0; g < governors.size(); ++g)
+            chunk.pushCell(g, cohort, g == 0,
+                           engine.replayDevice(device, governors[g]));
     }
+    FleetShardAggregate campaign =
+        FleetShardAggregate::forCampaign(governors.size());
+    campaign.merge(chunk);
+    EXPECT_EQ(campaign.digest(), report.populationDigest);
 }
 
 TEST(FleetDeterminism, CohortCountsConserveThePopulation)
 {
-    FleetEngine engine(smallCampaign(1, 0, 2));
+    FleetEngine engine(smallCampaign(1, 0));
     const FleetReport report = engine.run();
     ASSERT_EQ(report.byGovernor.size(), 2u);
 
@@ -262,16 +267,11 @@ TEST(FleetDeterminism, CohortCountsConserveThePopulation)
 
 TEST(FleetDeterminism, CampaignHashSeparatesCampaigns)
 {
-    const FleetCampaignConfig a = smallCampaign(1, 0, 1);
+    const FleetCampaignConfig a = smallCampaign(1, 0);
     FleetCampaignConfig b = a;
     b.spec.seed = 8;
     FleetCampaignConfig c = a;
     c.governors = {"interactive"};
-    // Lane width is throughput policy, not identity: the lane
-    // contract makes every measurement lane-invariant, so a journal
-    // written at one lane count must resume at any other.
-    FleetCampaignConfig d = a;
-    d.lanes = 4;
     // jobs/workers are pure throughput policy — never identity.
     FleetCampaignConfig e = a;
     e.jobs = 8;
@@ -281,7 +281,6 @@ TEST(FleetDeterminism, CampaignHashSeparatesCampaigns)
     f.chunkDevices = 4;
     EXPECT_NE(fleetCampaignHash(a), fleetCampaignHash(b));
     EXPECT_NE(fleetCampaignHash(a), fleetCampaignHash(c));
-    EXPECT_EQ(fleetCampaignHash(a), fleetCampaignHash(d));
     EXPECT_EQ(fleetCampaignHash(a), fleetCampaignHash(e));
     EXPECT_NE(fleetCampaignHash(a), fleetCampaignHash(f));
 }
@@ -293,7 +292,7 @@ TEST(FleetDeterminism, ChunkWidthChangesIdentityNotStatistics)
     // population: counts are equal outright and the sketches — whose
     // compacted state is defined as "pushed one-by-one in global
     // cell order" — agree on every quantile bit-for-bit.
-    FleetCampaignConfig wide = smallCampaign(1, 0, 2);
+    FleetCampaignConfig wide = smallCampaign(1, 0);
     FleetCampaignConfig narrow = wide;
     narrow.chunkDevices = 2;  // 5 devices -> 3 chunks, one short
     const FleetReport a = FleetEngine(wide).run();
@@ -351,11 +350,19 @@ TEST(FleetAggregate, SerializeRoundTripIsBitExact)
 
 TEST(FleetDeath, UnknownGovernorIsFatal)
 {
-    FleetCampaignConfig config = smallCampaign(1, 0, 1);
+    FleetCampaignConfig config = smallCampaign(1, 0);
     config.governors = {"warp-drive"};
     FleetEngine engine(config);
     EXPECT_EXIT(engine.replayDevice(0, "warp-drive"),
                 ::testing::ExitedWithCode(1), "unknown governor");
+}
+
+TEST(FleetDeath, LanesOtherThanOneIsFatal)
+{
+    FleetCampaignConfig config = smallCampaign(1, 0);
+    config.lanes = 4;
+    EXPECT_EXIT(FleetEngine{config}, ::testing::ExitedWithCode(1),
+                "lanes must be 1");
 }
 
 TEST(FleetKillResume, SupervisorSigkillThenResumeByteIdentical)
@@ -368,7 +375,7 @@ TEST(FleetKillResume, SupervisorSigkillThenResumeByteIdentical)
     // large to ever checkpoint: this leg isolates the journal-replay
     // resume path; the checkpoint path has its own test below.
     const auto cfg = [&](unsigned workers, const std::string &s) {
-        FleetCampaignConfig config = smallCampaign(1, workers, 2, s);
+        FleetCampaignConfig config = smallCampaign(1, workers, s);
         config.chunkDevices = 1;
         config.checkpointIntervalChunks = 1000;
         return config;
@@ -429,22 +436,20 @@ TEST(FleetKillResume, CheckpointSigkillThenResumeByteIdentical)
     // One device per chunk, checkpoint after every chunk: the
     // aggregate checkpoint (not journal replay) carries the resumed
     // prefix, and the journal is truncated beneath it.
-    const auto cfg = [&](unsigned workers, unsigned lanes,
-                         const std::string &s) {
-        FleetCampaignConfig config =
-            smallCampaign(1, workers, lanes, s);
+    const auto cfg = [&](unsigned workers, const std::string &s) {
+        FleetCampaignConfig config = smallCampaign(1, workers, s);
         config.chunkDevices = 1;
         config.checkpointIntervalChunks = 1;
         return config;
     };
 
-    FleetEngine baseline(cfg(0, 2, ""));
+    FleetEngine baseline(cfg(0, ""));
     const std::string ref_text = fleetReportText(baseline.run());
 
     const pid_t child = ::fork();
     ASSERT_GE(child, 0);
     if (child == 0) {
-        FleetEngine engine(cfg(1, 2, stem));
+        FleetEngine engine(cfg(1, stem));
         engine.run();
         ::_exit(0);
     }
@@ -464,13 +469,10 @@ TEST(FleetKillResume, CheckpointSigkillThenResumeByteIdentical)
     int status = 0;
     ASSERT_EQ(::waitpid(child, &status, 0), child);
 
-    // Resume at a DIFFERENT lane count — lane width is not part of
-    // the campaign identity, so the checkpoint + journal written at
-    // lanes=2 must resume at lanes=4 to the identical report.
     const uint64_t pre_before = MetricsRegistry::global()
                                     .counter("proc.units_precompleted")
                                     .value();
-    FleetEngine resumed(cfg(1, 4, stem));
+    FleetEngine resumed(cfg(1, stem));
     const std::string resumed_text = fleetReportText(resumed.run());
     const uint64_t pre_after = MetricsRegistry::global()
                                    .counter("proc.units_precompleted")

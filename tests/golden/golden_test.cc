@@ -21,7 +21,10 @@
 #include "browser/page_corpus.hh"
 #include "common/exact_ticks.hh"
 #include "common/rng.hh"
+#include "dora/sample_io.hh"
+#include "dora/trainer.hh"
 #include "fleet/campaign.hh"
+#include "harness/comparison.hh"
 #include "obs/trace.hh"
 #include "runner/experiment.hh"
 #include "workloads/kernel.hh"
@@ -80,7 +83,7 @@ expectGolden(const std::string &key, uint64_t digest)
 
 TEST(GoldenDigest, SmallFleetPopulation)
 {
-    // The tests/fleet smallCampaign(1, 0, 1) configuration.
+    // The tests/fleet smallCampaign(1, 0) configuration.
     FleetCampaignConfig config;
     config.spec.seed = 7;
     config.spec.devices = 5;
@@ -147,6 +150,75 @@ TEST(GoldenDigest, FleetRollout120Population)
     FleetEngine engine(config);
     expectGolden("fleet.rollout_120.population_digest",
                  engine.run().populationDigest);
+}
+
+/** Chain @p digest onto @p chain (order-sensitive). */
+uint64_t
+chainDigest(uint64_t chain, uint64_t digest)
+{
+    return hashLabel(hexU64(chain) + ":" + hexU64(digest));
+}
+
+/** The ext_parallel_scaling slice: four page + co-runner combos. */
+std::vector<WorkloadSpec>
+scalingSlice()
+{
+    const std::pair<const char *, MemIntensity> picks[] = {
+        {"amazon", MemIntensity::Medium},
+        {"reddit", MemIntensity::High},
+        {"espn", MemIntensity::Medium},
+        {"msn", MemIntensity::Low},
+    };
+    std::vector<WorkloadSpec> workloads;
+    for (const auto &[page, cls] : picks)
+        workloads.push_back(
+            WorkloadSets::combo(PageCorpus::byName(page), cls));
+    return workloads;
+}
+
+TEST(GoldenDigest, TrainerCollectSamplesChain)
+{
+    // A short training grid: three Webpage-Inclusive workloads at three
+    // OPPs spanning the bus groups, under a 1 s load wall.
+    TrainerConfig tc;
+    tc.experiment.maxLoadSec = 1.0;
+    tc.jobs = 2;
+    Trainer trainer(tc);
+    auto workloads = WorkloadSets::webpageInclusive();
+    workloads.resize(3);
+    uint64_t chain = hashLabel("golden:trainer");
+    for (const TrainingSample &s :
+         trainer.collectSamples(workloads, {0, 6, 13}))
+        chain = chainDigest(chain,
+                            hashLabel(serializeTrainingSample(s)));
+    expectGolden("trainer.collect_samples.sample_chain", chain);
+}
+
+TEST(GoldenDigest, HarnessRunAllScalingSliceChain)
+{
+    // The ext_parallel_scaling comparison: four workloads under the
+    // model-free governors, chained in record (workload-major) order.
+    const std::vector<std::string> governors = {
+        "interactive", "performance", "ondemand"};
+    ComparisonHarness harness(ExperimentConfig{}, nullptr, 4);
+    uint64_t chain = hashLabel("golden:harness.runAll");
+    for (const ComparisonRecord &r :
+         harness.runAll(scalingSlice(), governors))
+        for (const std::string &g : governors)
+            chain = chainDigest(chain,
+                                runMeasurementDigest(r.measurement(g)));
+    expectGolden("harness.run_all.scaling_slice_chain", chain);
+}
+
+TEST(GoldenDigest, HarnessOfflineOptManyChain)
+{
+    // Offline_opt over the scaling slice: the whole workload x OPP grid
+    // in one fan-out, reduced to one winner per workload.
+    ComparisonHarness harness(ExperimentConfig{}, nullptr, 4);
+    uint64_t chain = hashLabel("golden:harness.offlineOptMany");
+    for (const RunMeasurement &m : harness.offlineOptMany(scalingSlice()))
+        chain = chainDigest(chain, runMeasurementDigest(m));
+    expectGolden("harness.offline_opt_many.scaling_slice_chain", chain);
 }
 
 } // namespace

@@ -9,8 +9,14 @@
 #include <set>
 
 #include "browser/page_corpus.hh"
+#include "common/rng.hh"
+#include "common/snapshot.hh"
+#include "governor/governor.hh"
 #include "runner/experiment.hh"
+#include "runner/run_context.hh"
 #include "runner/workload.hh"
+#include "workloads/corun_task.hh"
+#include "workloads/kernel.hh"
 
 namespace dora
 {
@@ -213,6 +219,48 @@ TEST_F(RunnerTest, IdleCharacterizationSpansConditions)
     EXPECT_LT(min_v, 0.82);
     EXPECT_GT(max_v, 1.0);
     EXPECT_GT(max_t - min_t, 20.0);  // ambient sweep visible
+}
+
+TEST(RunContext, SnapshotRewindMidRunBitIdentical)
+{
+    // Snapshot a run mid-flight through common/snapshot, run it to
+    // completion, rewind it, and replay: the replayed measurement must
+    // be bit-identical to the first pass.
+    const WorkloadSpec spec =
+        WorkloadSets::kernelOnly(KernelCatalog::byName("kmeans"));
+    // Same corun salt recipe as ExperimentRunner::run().
+    const uint64_t salt = hashLabel("corun:" + spec.label()) % 4096;
+    CorunTask corun(*spec.kernel, salt);
+    InteractiveGovernor governor;
+    RunContext::Params params;
+    params.corun = &corun;
+    params.label = spec.label();
+    params.governor = &governor;
+    RunContext run(ExperimentConfig{}, params);
+
+    for (int quantum = 0; quantum < 10; ++quantum) {
+        ASSERT_FALSE(run.done());
+        run.advance();
+    }
+    ASSERT_FALSE(run.done());
+
+    SnapshotWriter w;
+    run.snapshot(w);
+    const std::string bytes = w.finish();
+
+    while (!run.done())
+        run.advance();
+    const RunMeasurement first = run.finish();
+
+    SnapshotReader r(bytes);
+    ASSERT_TRUE(r.checksumOk());
+    ASSERT_TRUE(run.tryRestore(r));
+    ASSERT_FALSE(run.done());
+    while (!run.done())
+        run.advance();
+    const RunMeasurement replay = run.finish();
+
+    EXPECT_EQ(runMeasurementText(first), runMeasurementText(replay));
 }
 
 } // namespace

@@ -100,7 +100,7 @@ struct ScannedUnit
     /**
      * Per-line flag: inside a `// dora:lane-kernel-begin` ..
      * `// dora:lane-kernel-end` region (the SIMD-friendly hot loops
-     * of the lane-batched walk, DESIGN.md §5g). Marker lines are
+     * of the batched walk kernel, DESIGN.md §5g). Marker lines are
      * included.
      */
     std::vector<char> laneKernel;

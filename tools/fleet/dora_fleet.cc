@@ -8,7 +8,7 @@
  *              [--fleet-checkpoint-interval N]
  *              [--fleet-report-quantiles q1,q2,...]
  *              [--fleet-replay DEV [--fleet-replay-governor NAME]]
- *              [--jobs N] [--workers N] [--lanes N] [--trace DIR]
+ *              [--jobs N] [--workers N] [--trace DIR]
  *
  * Prints the canonical fleetReportText() (hex-float, byte-comparable
  * across tier settings and resumes) followed by a human-readable
@@ -91,7 +91,6 @@ main(int argc, char **argv)
     config.governors = {"ondemand", "performance"};
     config.jobs = benchJobs(argc, argv);
     config.workers = benchWorkers(argc, argv);
-    config.lanes = benchLanes(argc, argv);
 
     if (const auto v = cliFlagValue(argc, argv, "--fleet-devices"))
         config.spec.devices = static_cast<size_t>(
