@@ -42,3 +42,11 @@ dora_add_bench(ovh_memsample)
 target_link_libraries(ovh_memsample PRIVATE benchmark::benchmark)
 
 dora_add_bench(ext_adaptive_accuracy)
+
+# The ovh_* binaries pass --benchmark_* flags through to
+# google-benchmark and reject every other undeclared flag.
+add_test(NAME OvhFlags.UnknownFlagFatalBenchmarkFlagsPass
+    COMMAND sh ${CMAKE_SOURCE_DIR}/tests/bench/ovh_flags_test.sh
+        ${CMAKE_BINARY_DIR}/bench)
+set_tests_properties(OvhFlags.UnknownFlagFatalBenchmarkFlagsPass
+    PROPERTIES TIMEOUT 600)

@@ -16,6 +16,7 @@
 #include <iostream>
 #include <memory>
 
+#include "common/cli.hh"
 #include "common/exact_ticks.hh"
 #include "mem/cache_model.hh"
 #include "obs/trace.hh"
@@ -156,6 +157,14 @@ main(int argc, char **argv)
     // seen pre-filtering (ObsGuard parses both).
     ObsGuard obs(argc, argv);
     benchmark::Initialize(&argc, argv);
+    // After Initialize, which removes the --benchmark_* flags it
+    // parsed. One it could not parse stays in argv (google-benchmark
+    // 1.7 reads --benchmark_min_time only as a plain number and warns
+    // about "0.1s"); that is the library's to report.
+    cliCheckFlags(argc, argv,
+                  "Micro-benchmarks of the per-tick simulation hot path.",
+                  {{"--benchmark_*", nullptr,
+                    "google-benchmark flags, read by the library"}});
     benchmark::RunSpecifiedBenchmarks();
     benchmark::Shutdown();
     printTickRate();

@@ -33,6 +33,7 @@
 
 #include "browser/page_corpus.hh"
 #include "browser/render_cost.hh"
+#include "common/cli.hh"
 #include "mem/address_stream.hh"
 #include "mem/mem_system.hh"
 #include "obs/trace.hh"
@@ -268,6 +269,14 @@ main(int argc, char **argv)
 {
     ObsGuard obs(argc, argv);
     benchmark::Initialize(&argc, argv);
+    // After Initialize, which removes the --benchmark_* flags it
+    // parsed. One it could not parse stays in argv (google-benchmark
+    // 1.7 reads --benchmark_min_time only as a plain number and warns
+    // about "0.1s"); that is the library's to report.
+    cliCheckFlags(argc, argv,
+                  "Micro-benchmarks of the sampled memory walk.",
+                  {{"--benchmark_*", nullptr,
+                    "google-benchmark flags, read by the library"}});
     benchmark::RunSpecifiedBenchmarks();
     benchmark::Shutdown();
     printSummary();

@@ -16,6 +16,7 @@
 
 #include "bench_util.hh"
 #include "browser/page_corpus.hh"
+#include "common/cli.hh"
 #include "dora/features.hh"
 #include "dora/predictive_governor.hh"
 #include "runner/experiment.hh"
@@ -151,8 +152,12 @@ int
 main(int argc, char **argv)
 {
     ObsGuard obs(argc, argv);
-    g_bundle = benchBundle();
     benchmark::Initialize(&argc, argv);
+    // After Initialize: see ovh_memsample.cc.
+    cliCheckFlags(argc, argv, "Section V-H: DORA's runtime overhead.",
+                  {{"--benchmark_*", nullptr,
+                    "google-benchmark flags, read by the library"}});
+    g_bundle = benchBundle();
     benchmark::RunSpecifiedBenchmarks();
     benchmark::Shutdown();
     printOverheadTable();

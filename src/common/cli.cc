@@ -32,9 +32,15 @@ const CliFlag *
 findFlag(const std::vector<CliFlag> &flags, std::string_view name)
 {
     for (const std::vector<CliFlag> *set : {&flags, &sharedFlags()})
-        for (const CliFlag &f : *set)
-            if (name == f.name)
+        for (const CliFlag &f : *set) {
+            // A name ending in '*' declares a flag family by prefix.
+            const std::string_view decl(f.name);
+            if (name == decl ||
+                (decl.back() == '*' &&
+                 name.substr(0, decl.size() - 1) ==
+                     decl.substr(0, decl.size() - 1)))
                 return &f;
+        }
     return nullptr;
 }
 

@@ -135,7 +135,7 @@ AddressStream::nextRuns(uint64_t *out, uint32_t n)
     const ExactModulo hot_mod = hotMod_;
     const ExactModulo ws_mod = wsMod_;
     uint32_t i = 0;
-    // dora:lane-kernel-begin
+    // dora:walk-kernel-begin
     // The rest of a burst an earlier call drew: sequential fills capped
     // by the burst, the request and the lines left before the wrap.
     while (left > 0 && i < n) {
@@ -168,7 +168,7 @@ AddressStream::nextRuns(uint64_t *out, uint32_t n)
             }
         } while (len < cap && (rng.next() >> 11) < burst_threshold);
     }
-    // dora:lane-kernel-end
+    // dora:walk-kernel-end
     rng_ = rng;
     cursor_ = cur;
     burstLeft_ = left;

@@ -47,6 +47,73 @@ tagMatchMask8(const uint64_t *row, uint64_t tag)
     return mask;
 }
 
+/**
+ * Probe a private 4-way LRU L1 with a stream's whole sample, leaving
+ * the arrays as CacheModel::access() would, access i stamped
+ * clock0 + i. Writes the indices that missed to @p miss, returns their
+ * count and sets @p invalid_fills to how many filled an invalid way.
+ * Branch-free: hits, misses and hit ways are random, so every probe
+ * computes the match mask and the LRU victim and stores to one of
+ * them; at most one valid way can match, as a line is filled only
+ * after a miss. With @p kFull every way holds a valid line, so the
+ * match needs no validity test and no fill is invalid (DESIGN.md §5g).
+ */
+template <bool kFull>
+inline uint32_t
+probeL1(const uint64_t *lines, uint32_t samples, uint32_t set_mask,
+        uint64_t *tags, uint64_t *use, uint64_t clock0, uint32_t *miss,
+        uint64_t &invalid_fills)
+{
+    uint64_t invalid = 0;
+    uint32_t miss_count = 0;
+    // dora:walk-kernel-begin
+    for (uint32_t i = 0; i < samples; ++i) {
+        const uint64_t line = lines[i];
+        const size_t base = (static_cast<uint32_t>(line) & set_mask) *
+            static_cast<size_t>(kL1Ways);
+        uint64_t *t = &tags[base];
+        uint64_t *u = &use[base];
+        const uint64_t u0 = u[0], u1 = u[1], u2 = u[2], u3 = u[3];
+        uint32_t match = static_cast<uint32_t>(t[0] == line) |
+            static_cast<uint32_t>(t[1] == line) << 1 |
+            static_cast<uint32_t>(t[2] == line) << 2 |
+            static_cast<uint32_t>(t[3] == line) << 3;
+        if constexpr (!kFull)
+            match &= static_cast<uint32_t>(u0 != 0) |
+                static_cast<uint32_t>(u1 != 0) << 1 |
+                static_cast<uint32_t>(u2 != 0) << 2 |
+                static_cast<uint32_t>(u3 != 0) << 3;
+        // LRU victim as a tournament: strict < keeps the lower way on
+        // ties, as the linear scan of chooseVictim() does, and invalid
+        // ways (stamp 0) rank below every live one. The picks are bit
+        // arithmetic, so the compiler has no select to turn back into
+        // a branch.
+        const uint32_t pick1 = u1 < u0;
+        const uint32_t pick3 = u3 < u2;
+        const uint64_t best01 = pick1 ? u1 : u0;
+        const uint64_t best23 = pick3 ? u3 : u2;
+        const uint32_t pick23 = best23 < best01;
+        const uint32_t victim =
+            pick23 << 1 | (pick23 & pick3) | (~pick23 & pick1);
+        const uint32_t missed = match == 0;
+        // Without a match the sentinel bit 4 + victim is the lowest
+        // set bit, so one count of trailing zeros gives the hit way or
+        // else the victim. A hit rewrites the tag it matched.
+        const uint32_t way =
+            static_cast<uint32_t>(__builtin_ctz(match | 16u << victim)) & 3;
+        t[way] = line;
+        u[way] = clock0 + i;
+        if constexpr (!kFull)
+            invalid += missed & ((best01 == 0) | (best23 == 0));
+        // miss_count <= i, so the slot is inside this slice.
+        miss[miss_count] = i;
+        miss_count += missed;
+    }
+    // dora:walk-kernel-end
+    invalid_fills = invalid;
+    return miss_count;
+}
+
 } // namespace
 
 MemSystemConfig::MemSystemConfig()
@@ -108,21 +175,9 @@ void
 MemSystem::tickSample(const std::vector<MemSampleRequest> &requests,
                       std::vector<MemSampleResult> &results)
 {
-    if (buildLive(requests)) {
-        if (batchedWalk_ && batchedWalkEligible(requests))
-            walkBatched(liveScratch_);
-        else
-            walkInterleaved(liveScratch_);
-    }
-    fillResults(requests, results);
-}
-
-bool
-MemSystem::buildLive(const std::vector<MemSampleRequest> &requests)
-{
     // One walk-state slot per request, index-parallel: zero-sample
     // requests keep a dead slot (remaining == 0) so the result pairing
-    // in fillResults() is a direct index lookup, not a pointer search.
+    // below is a direct index lookup, not a pointer search.
     auto &live = liveScratch_;
     live.clear();
     live.reserve(requests.size());
@@ -135,14 +190,13 @@ MemSystem::buildLive(const std::vector<MemSampleRequest> &requests)
         live.push_back(LiveStream{&req, req.samples, 0, 0});
         any = any || req.samples > 0;
     }
-    return any;
-}
+    if (any) {
+        if (batchedWalk_ && batchedWalkEligible(requests))
+            walkBatched(live);
+        else
+            walkInterleaved(live);
+    }
 
-void
-MemSystem::fillResults(const std::vector<MemSampleRequest> &requests,
-                       std::vector<MemSampleResult> &results) const
-{
-    const auto &live = liveScratch_;
     results.clear();
     results.reserve(requests.size());
     for (size_t i = 0; i < requests.size(); ++i) {
@@ -215,166 +269,99 @@ MemSystem::batchedWalkEligible(
 void
 MemSystem::walkBatched(std::vector<LiveStream> &live)
 {
-    // Three-phase replay of walkInterleaved() with identical results
-    // (DESIGN.md §5g). Phase A draws every stream's sample up front
-    // (burst-run fills, same RNG draw order); phase B probes each
-    // private L1 stream-at-a-time — legal because an L1 is touched
+    // Phase-separated replay of walkInterleaved() with identical
+    // results (DESIGN.md §5g). Stream by stream, phase A draws the
+    // whole sample up front (burst-run fills, same RNG draw order) and
+    // phase B probes the private L1 — legal because an L1 is touched
     // only by its own core, so the interleaved schedule restricted to
-    // one L1 *is* stream order — collecting L1-miss index lists; phase
-    // C drains those misses into the shared L2 along the legacy
+    // one L1 *is* stream order — collecting the L1-miss indices. Phase
+    // C drains those misses into the shared L2 along the reference's
     // round-robin chunk schedule, so the shared-state access order is
     // untouched. Inner loops run over hoisted raw pointers (enforced
-    // by the dora-perf-lane-alias lint rule).
-    walkBatchedPrepare(live);
-    walkBatchedDrain(live, 0, walkPasses_);
-}
-
-void
-MemSystem::walkBatchedPrepare(std::vector<LiveStream> &live)
-{
-    const uint32_t chunk = std::max<uint32_t>(1, config_.interleaveChunk);
-    const size_t n_req = live.size();
-
-    // Slice the flat scratch: request r's lines and miss-index list
-    // live at [walkOffsets_[r], walkOffsets_[r] + samples).
-    walkOffsets_.resize(n_req + 1);
+    // by the dora-perf-walk-alias rule).
     size_t total = 0;
-    uint32_t max_samples = 0;
-    for (size_t r = 0; r < n_req; ++r) {
-        walkOffsets_[r] = total;
-        total += live[r].req->samples;
-        max_samples = std::max(max_samples, live[r].req->samples);
-    }
-    walkOffsets_[n_req] = total;
+    for (const LiveStream &lv : live)
+        total += lv.req->samples;
     if (walkLines_.size() < total) {
         walkLines_.resize(total);
         walkMiss_.resize(total);
     }
-    walkMissCount_.assign(n_req, 0);
-    walkCursor_.assign(n_req, 0);
-    walkPasses_ =
-        (static_cast<uint64_t>(max_samples) + chunk - 1) / chunk;
 
-    // Phase A: generation.
-    for (size_t r = 0; r < n_req; ++r)
-        if (live[r].req->samples > 0)
-            live[r].req->stream->nextRuns(&walkLines_[walkOffsets_[r]],
-                                          live[r].req->samples);
-
-    // Phase B: private L1 probes, branch-free over the four ways. The
-    // sampled traffic hits or misses at random and, on a hit, matches
-    // at a random way, so an early-exit scan with a hit/miss branch
-    // mispredicts on most probes. Instead every probe builds the
-    // match mask, always computes the LRU victim, and stores the line
-    // and stamp to the hit way or else the victim. A hit rewrites the
-    // tag it matched, so the arrays end exactly as access() leaves
-    // them. At most one valid way can match: a line is filled only
-    // after a miss.
-    for (size_t r = 0; r < n_req; ++r) {
+    // Phases A and B; each request's lines and miss indices sit at the
+    // same offset of walkLines_ and walkMiss_.
+    auto &drain = walkDrain_;
+    drain.clear();
+    size_t offset = 0;
+    uint64_t last_miss = 0;  // largest sample index that missed an L1
+    for (size_t r = 0; r < live.size(); ++r) {
         const uint32_t samples = live[r].req->samples;
         if (samples == 0)
             continue;
-        CacheModel &l1 = l1s_[live[r].req->core];
-        const uint64_t *lines = &walkLines_[walkOffsets_[r]];
-        uint32_t *miss = &walkMiss_[walkOffsets_[r]];
+        const uint32_t core = live[r].req->core;
+        uint64_t *lines = &walkLines_[offset];
+        uint32_t *miss = &walkMiss_[offset];
+        offset += samples;
+        live[r].req->stream->nextRuns(lines, samples);
+
+        CacheModel &l1 = l1s_[core];
         const uint32_t set_mask = l1.numSets_ - 1;
-        uint64_t *tags = l1.tags_.data();
-        uint64_t *use = l1.lastUse_.data();
         // access() pre-increments the clock, so access i stamps
         // clock0 + i.
         const uint64_t clock0 = l1.accessClock_ + 1;
         uint64_t invalid_fills = 0;
-        uint32_t miss_count = 0;
-        // dora:lane-kernel-begin
-        for (uint32_t i = 0; i < samples; ++i) {
-            const uint64_t line = lines[i];
-            const size_t base =
-                (static_cast<uint32_t>(line) & set_mask) *
-                static_cast<size_t>(kL1Ways);
-            uint64_t *t = &tags[base];
-            uint64_t *u = &use[base];
-            const uint64_t u0 = u[0], u1 = u[1], u2 = u[2], u3 = u[3];
-            const uint32_t match =
-                (static_cast<uint32_t>(t[0] == line) &
-                 static_cast<uint32_t>(u0 != 0)) |
-                (static_cast<uint32_t>(t[1] == line) &
-                 static_cast<uint32_t>(u1 != 0)) << 1 |
-                (static_cast<uint32_t>(t[2] == line) &
-                 static_cast<uint32_t>(u2 != 0)) << 2 |
-                (static_cast<uint32_t>(t[3] == line) &
-                 static_cast<uint32_t>(u3 != 0)) << 3;
-            // LRU victim as a tournament: strict < keeps the lower way
-            // on ties, as the linear scan of chooseVictim() does, and
-            // invalid ways (stamp 0) rank below every live one. The
-            // picks are bit arithmetic, so the compiler has no select
-            // to turn back into a branch.
-            const uint32_t pick1 = u1 < u0;
-            const uint32_t pick3 = u3 < u2;
-            const uint64_t best01 = pick1 ? u1 : u0;
-            const uint64_t best23 = pick3 ? u3 : u2;
-            const uint32_t pick23 = best23 < best01;
-            const uint32_t victim =
-                pick23 << 1 | (pick23 & pick3) | (~pick23 & pick1);
-            const uint32_t invalid = (best01 == 0) | (best23 == 0);
-            const uint32_t missed = match == 0;
-            // Without a match the sentinel bit 4 + victim is the lowest
-            // set bit, so one count of trailing zeros gives the hit way
-            // or else the victim.
-            const uint32_t way =
-                static_cast<uint32_t>(__builtin_ctz(match | 16u << victim)) &
-                3;
-            t[way] = line;
-            u[way] = clock0 + i;
-            invalid_fills += missed & invalid;
-            // miss_count <= i, so the slot is inside this slice.
-            miss[miss_count] = i;
-            miss_count += missed;
-        }
-        // dora:lane-kernel-end
+        // A walk never invalidates a line, so once the sole requestor
+        // owns every line, every way stays valid.
+        const uint32_t misses = l1.owned_[0] == l1.tags_.size()
+            ? probeL1<true>(lines, samples, set_mask, l1.tags_.data(),
+                            l1.lastUse_.data(), clock0, miss,
+                            invalid_fills)
+            : probeL1<false>(lines, samples, set_mask, l1.tags_.data(),
+                             l1.lastUse_.data(), clock0, miss,
+                             invalid_fills);
         l1.accessClock_ += samples;
         CacheStats &st = l1.stats_[0];
         st.accesses += samples;
-        st.misses += miss_count;
+        st.misses += misses;
         // Every valid L1 victim belongs to the sole requestor, and a
         // valid-victim fill leaves its owned-line count unchanged.
-        st.selfEvictions += miss_count - invalid_fills;
+        st.selfEvictions += misses - invalid_fills;
         l1.owned_[0] += invalid_fills;
-        walkMissCount_[r] = miss_count;
-        live[r].l1Misses = miss_count;
+        live[r].l1Misses = misses;
+        if (misses > 0) {
+            drain.push_back(DrainStream{lines, miss, misses, 0, core, r});
+            last_miss = std::max<uint64_t>(last_miss, miss[misses - 1]);
+        }
     }
-}
 
-void
-MemSystem::walkBatchedDrain(std::vector<LiveStream> &live,
-                            uint64_t pass_begin, uint64_t pass_end)
-{
-    // Phase C: shared-L2 drain along the round-robin chunk schedule.
-    // Pass p admits each stream's access indices below (p+1)*chunk, in
-    // request order — exactly the subsequence of the interleaved
-    // schedule that reached the L2.
-    const uint32_t chunk = std::max<uint32_t>(1, config_.interleaveChunk);
-    const size_t n_req = live.size();
-    CacheModel &l2 = l2_;
-    const uint32_t set_mask2 = l2.numSets_ - 1;
-    uint64_t *tags2 = l2.tags_.data();
-    uint64_t *use2 = l2.lastUse_.data();
-    uint32_t *owners2 = l2.owners_.data();
-    uint64_t *owned2 = l2.owned_.data();
-    CacheStats *stats2 = l2.stats_.data();
-    uint64_t clock2 = l2.accessClock_;
+    // Phase C: pass p admits each stream's sample indices below
+    // (p+1)*window, in request order — exactly the subsequence of the
+    // interleaved schedule that reached the L2. Only streams that
+    // missed take part, and the passes stop after the last miss. With
+    // one such stream the schedule is its own miss order, so it drains
+    // in one pass whose window covers every miss.
+    const uint64_t window = drain.size() == 1
+        ? last_miss + 1
+        : std::max<uint32_t>(1, config_.interleaveChunk);
+    const uint64_t passes = last_miss / window + 1;
+    const uint32_t set_mask2 = l2_.numSets_ - 1;
+    uint64_t *tags2 = l2_.tags_.data();
+    uint64_t *use2 = l2_.lastUse_.data();
+    uint32_t *owners2 = l2_.owners_.data();
+    uint64_t *owned2 = l2_.owned_.data();
+    CacheStats *stats2 = l2_.stats_.data();
+    uint64_t clock2 = l2_.accessClock_;
     constexpr uint32_t kPrefetchDist = 8;
 
-    for (uint64_t p = pass_begin; p < pass_end; ++p) {
-        const uint64_t window_end =
-            (p + 1) * static_cast<uint64_t>(chunk);
-        for (size_t r = 0; r < n_req; ++r) {
-            const uint32_t core = live[r].req->core;
-            const uint64_t *lines = &walkLines_[walkOffsets_[r]];
-            const uint32_t *miss = &walkMiss_[walkOffsets_[r]];
-            const uint32_t miss_count = walkMissCount_[r];
-            uint32_t cur = walkCursor_[r];
+    for (uint64_t p = 0; p < passes; ++p) {
+        const uint64_t window_end = (p + 1) * window;
+        for (DrainStream &d : drain) {
+            const uint32_t core = d.core;
+            const uint64_t *lines = d.lines;
+            const uint32_t *miss = d.miss;
+            const uint32_t miss_count = d.missCount;
+            uint32_t cur = d.cursor;
             uint64_t l2_misses = 0;
-            // dora:lane-kernel-begin
+            // dora:walk-kernel-begin
             while (cur < miss_count && miss[cur] < window_end) {
                 const uint64_t line = lines[miss[cur]];
                 ++cur;
@@ -433,19 +420,15 @@ MemSystem::walkBatchedDrain(std::vector<LiveStream> &live,
                 owners2[base + victim] = core;
                 use2[base + victim] = clock2;
             }
-            // dora:lane-kernel-end
-            walkCursor_[r] = cur;
-            live[r].l2Misses += l2_misses;
+            // dora:walk-kernel-end
+            d.cursor = cur;
+            live[d.request].l2Misses += l2_misses;
         }
     }
-    l2.accessClock_ = clock2;
-    // Stats commit exactly once per walk, after the final pass.
-    if (pass_end >= walkPasses_) {
-        for (size_t r = 0; r < n_req; ++r) {
-            CacheStats &st = stats2[live[r].req->core];
-            st.accesses += walkMissCount_[r];
-            st.misses += live[r].l2Misses;
-        }
+    l2_.accessClock_ = clock2;
+    for (const DrainStream &d : drain) {
+        stats2[d.core].accesses += d.missCount;
+        stats2[d.core].misses += live[d.request].l2Misses;
     }
 }
 

@@ -16,6 +16,7 @@
 #ifndef DORA_MEM_MEM_SYSTEM_HH
 #define DORA_MEM_MEM_SYSTEM_HH
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -137,9 +138,11 @@ class MemSystem
      * Select the batched walk kernel for subsequent ticks. The kernel
      * generates each stream's sample up front (AddressStream::nextRuns),
      * probes the private L1s stream-at-a-time with a branch-free 4-way
-     * probe, and drains L1 misses into the shared L2 along the legacy
-     * round-robin chunk schedule with hoisted raw-pointer loops, SIMD
-     * tag compares, and next-miss prefetch (DESIGN.md §5g). Results
+     * probe (without validity tests once an L1 is full), and drains
+     * the streams that missed into the shared L2 along the legacy
+     * round-robin chunk schedule (one pass when a single stream
+     * missed) with hoisted raw-pointer loops, SIMD tag compares, and
+     * next-miss prefetch (DESIGN.md §5g). Results
      * are bit-identical to the per-access walk; ticks fall back to it
      * automatically whenever batchedWalkEligible() says no. On by
      * default (the per-access walk remains the reference
@@ -185,6 +188,17 @@ class MemSystem
         uint64_t l2Misses = 0;
     };
 
+    /** A stream whose sample missed its L1: its share of the L2 drain. */
+    struct DrainStream
+    {
+        const uint64_t *lines = nullptr;  //!< the stream's sample
+        const uint32_t *miss = nullptr;   //!< sample indices that missed
+        uint32_t missCount = 0;
+        uint32_t cursor = 0;              //!< next miss to drain
+        uint32_t core = 0;
+        size_t request = 0;               //!< index into the live list
+    };
+
     /** Legacy reference walk: per-access interleaved L1 -> L2 probes. */
     void walkInterleaved(std::vector<LiveStream> &live);
 
@@ -193,24 +207,6 @@ class MemSystem
      * walkInterleaved() with identical results (DESIGN.md §5g).
      */
     void walkBatched(std::vector<LiveStream> &live);
-
-    /**
-     * Phases A+B of walkBatched(): generate every stream's sample,
-     * probe the private L1s, and size the shared-L2 drain (the pass
-     * count lands in walkPasses_).
-     */
-    void walkBatchedPrepare(std::vector<LiveStream> &live);
-
-    /** Phase C of walkBatched() over passes [begin, end). */
-    void walkBatchedDrain(std::vector<LiveStream> &live,
-                          uint64_t pass_begin, uint64_t pass_end);
-
-    /** tickSample() head: fill liveScratch_; true if any samples. */
-    bool buildLive(const std::vector<MemSampleRequest> &requests);
-
-    /** tickSample() tail: rates from liveScratch_ into @p results. */
-    void fillResults(const std::vector<MemSampleRequest> &requests,
-                     std::vector<MemSampleResult> &results) const;
 
     MemSystemConfig config_;  // dora:snapshot-exclude(construction config)
     std::vector<CacheModel> l1s_;
@@ -224,14 +220,10 @@ class MemSystem
 
     // Batched-walk scratch, reused across ticks: the generated lines
     // and per-stream L1-miss index lists live in flat 64B-aligned
-    // buffers sliced by walkOffsets_.
+    // buffers, one slice per request in request order.
     AlignedVec<uint64_t> walkLines_;  // dora:snapshot-exclude(scratch)
     AlignedVec<uint32_t> walkMiss_;  // dora:snapshot-exclude(scratch)
-    std::vector<size_t> walkOffsets_;  // dora:snapshot-exclude(scratch)
-    std::vector<uint32_t> walkMissCount_;  // dora:snapshot-exclude(scratch)
-    std::vector<uint32_t> walkCursor_;  // dora:snapshot-exclude(scratch)
-    // dora:snapshot-exclude(scratch sizing, recomputed by prepare)
-    uint64_t walkPasses_ = 0;  //!< drain passes sized by prepare
+    std::vector<DrainStream> walkDrain_;  // dora:snapshot-exclude(scratch)
 };
 
 } // namespace dora

@@ -2,7 +2,7 @@
  * @file
  * Tests for the dora-analyze engine (tools/analyze/analyze_engine.hh):
  * scanner and structural-parser unit tests (nested classes, templates,
- * macros, comment/raw-string edges, lane-kernel regions), in-memory
+ * macros, comment/raw-string edges, walk-kernel regions), in-memory
  * spot checks for line and model rules, manifest render/parse
  * round-trips and drift detection, one golden fixture per catalog rule
  * under tests/analyze/fixtures/<rule>/ (positive hit, allowlisted
@@ -258,18 +258,18 @@ TEST(LintScanner, CollectsNolintAndNolintNextline)
     EXPECT_TRUE(f.nolint[1].empty());
 }
 
-TEST(AnalyzeScanner, LaneKernelMarkersOpenAndCloseARegion)
+TEST(AnalyzeScanner, WalkKernelMarkersOpenAndCloseARegion)
 {
     // Both marker lines belong to the region; the lines around it
     // do not.
     const ScannedUnit u = scanUnit(
         "src/mem/k.cc",
         "int before;\n"
-        "// dora:lane-kernel-begin\n"
+        "// dora:walk-kernel-begin\n"
         "int inside;\n"
-        "int last;  // dora:lane-kernel-end\n"
+        "int last;  // dora:walk-kernel-end\n"
         "int after;\n");
-    EXPECT_EQ(u.laneKernel, (std::vector<char>{0, 1, 1, 1, 0}));
+    EXPECT_EQ(u.walkKernel, (std::vector<char>{0, 1, 1, 1, 0}));
 }
 
 TEST(AnalyzeScanner, NolintCollectsRuleSets)

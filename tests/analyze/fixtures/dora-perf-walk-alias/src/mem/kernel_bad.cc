@@ -1,13 +1,13 @@
-// Fixture: AoS member access and bit-packed flags in a lane kernel.
+// Fixture: AoS member access and bit-packed flags in a walk kernel.
 #include <vector>
 struct Stream { unsigned hits; };
 void drain(Stream *s, std::vector<unsigned> &idx)
 {
     std::vector<bool> seen(idx.size());
-    // dora:lane-kernel-begin
+    // dora:walk-kernel-begin
     for (unsigned i = 0; i < idx.size(); ++i) {
         s->hits += idx.at(i);
         seen[i] = true;
     }
-    // dora:lane-kernel-end
+    // dora:walk-kernel-end
 }

@@ -4,9 +4,9 @@ struct Stream { unsigned hits; };
 void drain(Stream *s, const unsigned *idx, unsigned *tags, unsigned n)
 {
     unsigned hits = s->hits;
-    // dora:lane-kernel-begin
+    // dora:walk-kernel-begin
     for (unsigned i = 0; i < n; ++i)
         hits += tags[idx[i]];
-    // dora:lane-kernel-end
+    // dora:walk-kernel-end
     s->hits = hits;
 }

@@ -2,8 +2,8 @@
 struct Stream { unsigned hits; };
 void bump(Stream *s)
 {
-    // dora:lane-kernel-begin
-    // NOLINTNEXTLINE(dora-perf-lane-alias): fixture
+    // dora:walk-kernel-begin
+    // NOLINTNEXTLINE(dora-perf-walk-alias): fixture
     s->hits += 1;
-    // dora:lane-kernel-end
+    // dora:walk-kernel-end
 }

@@ -192,6 +192,30 @@ TEST(CliCheckFlags, SeparatedValueIsNotCheckedAsAFlag)
     checkFleetFlags(args);
 }
 
+/** A google-benchmark binary: the library's flags pass as a family. */
+void
+checkBenchmarkFlags(Argv &args)
+{
+    cliCheckFlags(args.argc(), args.argv(), "Micro-benchmarks.",
+                  {{"--benchmark_*", nullptr, "google-benchmark flags"}});
+}
+
+TEST(CliCheckFlags, PrefixFamilyAdmitsItsFlags)
+{
+    Argv args({"ovh_memsample", "--benchmark_min_time=0.1s",
+               "--benchmark_filter=none", "--exact-ticks"});
+    checkBenchmarkFlags(args);
+}
+
+TEST(CliDeath, FlagOutsideAPrefixFamilyIsFatal)
+{
+    Argv args({"ovh_memsample", "--benchmark_min_time=0.1s",
+               "--benchmarks", "--bogus"});
+    EXPECT_EXIT(checkBenchmarkFlags(args), ::testing::ExitedWithCode(1),
+                "usage: ovh_memsample.*--benchmark_\\*.*"
+                "unknown flag '--benchmarks'");
+}
+
 TEST(CliDeath, UndeclaredFlagIsFatalWithUsage)
 {
     // The ROADMAP regression: a typo and a bogus flag used to start

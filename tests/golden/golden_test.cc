@@ -152,6 +152,22 @@ TEST(GoldenDigest, FleetRollout120Population)
                  engine.run().populationDigest);
 }
 
+TEST(GoldenDigest, FleetDefault16Population)
+{
+    // The perfbench `fleet` workload's shape: the default spec at 16
+    // devices under two governors that need no trained bundle, full
+    // load wall. It pins the walk kernel on the population that
+    // measures its speed.
+    FleetCampaignConfig config;
+    config.spec.devices = 16;
+    config.governors = {"interactive", "performance"};
+    config.chunkDevices = 4;
+    config.jobs = 4;
+    FleetEngine engine(config);
+    expectGolden("fleet.default_16.population_digest",
+                 engine.run().populationDigest);
+}
+
 /** Chain @p digest onto @p chain (order-sensitive). */
 uint64_t
 chainDigest(uint64_t chain, uint64_t digest)

@@ -189,11 +189,70 @@ stateBytes(const MemSystem &mem,
     return w.finish();
 }
 
+using Streams = std::vector<std::unique_ptr<AddressStream>>;
+
 /**
- * Every tick runs twice on the same objects: batched from a snapshot,
- * then restored and walked by the reference path. Sharing the objects
- * keeps stream ids equal, so the snapshot bytes compare whole.
+ * Run one tick of @p reqs twice on the same objects: batched from a
+ * snapshot, then restored and walked by the reference path. Sharing
+ * the objects keeps stream ids equal, so the snapshot bytes compare
+ * whole. Results, L1/L2 stats and owned lines must agree too. The
+ * hierarchy is left as the reference walk leaves it.
  */
+void
+expectTickMatches(MemSystem &mem, const Streams &streams,
+                  const std::vector<MemSampleRequest> &reqs,
+                  const std::string &where)
+{
+    SCOPED_TRACE(where);
+    const uint32_t cores = mem.config().numCores;
+    ASSERT_TRUE(mem.batchedWalkEligible(reqs));
+    std::vector<MemSampleResult> batched, reference;
+
+    const std::string before = stateBytes(mem, streams);
+    mem.setBatchedWalk(true);
+    mem.tickSample(reqs, batched);
+    const std::string after_batched = stateBytes(mem, streams);
+    std::vector<CacheStats> l1_stats, l2_stats;
+    std::vector<uint64_t> l1_owned, l2_owned;
+    for (uint32_t c = 0; c < cores; ++c) {
+        l1_stats.push_back(mem.l1(c).stats(0));
+        l1_owned.push_back(mem.l1(c).ownedLines(0));
+        l2_stats.push_back(mem.l2().stats(c));
+        l2_owned.push_back(mem.l2().ownedLines(c));
+    }
+
+    SnapshotReader r(before);
+    ASSERT_TRUE(mem.tryRestore(r));
+    for (const auto &s : streams)
+        ASSERT_TRUE(s->tryRestore(r));
+    mem.setBatchedWalk(false);
+    mem.tickSample(reqs, reference);
+
+    ASSERT_EQ(batched.size(), reference.size());
+    for (size_t i = 0; i < batched.size(); ++i) {
+        EXPECT_EQ(batched[i].l1MissRate, reference[i].l1MissRate);
+        EXPECT_EQ(batched[i].l2LocalMissRate,
+                  reference[i].l2LocalMissRate);
+        EXPECT_EQ(batched[i].samplesIssued, reference[i].samplesIssued);
+    }
+    for (uint32_t c = 0; c < cores; ++c) {
+        const CacheStats &a1 = mem.l1(c).stats(0);
+        EXPECT_EQ(a1.accesses, l1_stats[c].accesses);
+        EXPECT_EQ(a1.misses, l1_stats[c].misses);
+        EXPECT_EQ(a1.selfEvictions, l1_stats[c].selfEvictions);
+        EXPECT_EQ(mem.l1(c).ownedLines(0), l1_owned[c]);
+        const CacheStats &a2 = mem.l2().stats(c);
+        EXPECT_EQ(a2.accesses, l2_stats[c].accesses);
+        EXPECT_EQ(a2.misses, l2_stats[c].misses);
+        EXPECT_EQ(a2.selfEvictions, l2_stats[c].selfEvictions);
+        EXPECT_EQ(a2.interferenceEvictions,
+                  l2_stats[c].interferenceEvictions);
+        EXPECT_EQ(mem.l2().ownedLines(c), l2_owned[c]);
+    }
+    ASSERT_EQ(stateBytes(mem, streams), after_batched);
+}
+
+/** Random ticks on a random geometry, batched against reference. */
 void
 expectRandomWalksMatch(uint64_t seed)
 {
@@ -205,13 +264,12 @@ expectRandomWalksMatch(uint64_t seed)
     config.interleaveChunk = static_cast<uint32_t>(1 + rng.below(16));
     MemSystem mem(config);
 
-    std::vector<std::unique_ptr<AddressStream>> streams;
+    Streams streams;
     for (uint32_t c = 0; c < config.numCores; ++c)
         streams.push_back(std::make_unique<AddressStream>(
             randomSpec(rng), (c + 1) * (uint64_t(1) << 24), rng.fork("s")));
 
     std::vector<MemSampleRequest> reqs(config.numCores);
-    std::vector<MemSampleResult> batched, reference;
     for (int tick = 0; tick < 24; ++tick) {
         if (rng.below(6) == 0)
             streams[rng.below(config.numCores)]->reshape(randomSpec(rng));
@@ -222,52 +280,11 @@ expectRandomWalksMatch(uint64_t seed)
                             : static_cast<uint32_t>(rng.below(3000));
             reqs[c] = MemSampleRequest{c, streams[c].get(), samples};
         }
-        ASSERT_TRUE(mem.batchedWalkEligible(reqs));
-
-        const std::string before = stateBytes(mem, streams);
-        mem.setBatchedWalk(true);
-        mem.tickSample(reqs, batched);
-        const std::string after_batched = stateBytes(mem, streams);
-        std::vector<CacheStats> l1_stats, l2_stats;
-        std::vector<uint64_t> l1_owned, l2_owned;
-        for (uint32_t c = 0; c < config.numCores; ++c) {
-            l1_stats.push_back(mem.l1(c).stats(0));
-            l1_owned.push_back(mem.l1(c).ownedLines(0));
-            l2_stats.push_back(mem.l2().stats(c));
-            l2_owned.push_back(mem.l2().ownedLines(c));
-        }
-
-        SnapshotReader r(before);
-        ASSERT_TRUE(mem.tryRestore(r));
-        for (const auto &s : streams)
-            ASSERT_TRUE(s->tryRestore(r));
-        mem.setBatchedWalk(false);
-        mem.tickSample(reqs, reference);
-
-        ASSERT_EQ(batched.size(), reference.size());
-        for (size_t i = 0; i < batched.size(); ++i) {
-            EXPECT_EQ(batched[i].l1MissRate, reference[i].l1MissRate);
-            EXPECT_EQ(batched[i].l2LocalMissRate,
-                      reference[i].l2LocalMissRate);
-            EXPECT_EQ(batched[i].samplesIssued,
-                      reference[i].samplesIssued);
-        }
-        for (uint32_t c = 0; c < config.numCores; ++c) {
-            const CacheStats &a1 = mem.l1(c).stats(0);
-            EXPECT_EQ(a1.accesses, l1_stats[c].accesses);
-            EXPECT_EQ(a1.misses, l1_stats[c].misses);
-            EXPECT_EQ(a1.selfEvictions, l1_stats[c].selfEvictions);
-            EXPECT_EQ(mem.l1(c).ownedLines(0), l1_owned[c]);
-            const CacheStats &a2 = mem.l2().stats(c);
-            EXPECT_EQ(a2.accesses, l2_stats[c].accesses);
-            EXPECT_EQ(a2.misses, l2_stats[c].misses);
-            EXPECT_EQ(a2.selfEvictions, l2_stats[c].selfEvictions);
-            EXPECT_EQ(a2.interferenceEvictions,
-                      l2_stats[c].interferenceEvictions);
-            EXPECT_EQ(mem.l2().ownedLines(c), l2_owned[c]);
-        }
-        ASSERT_EQ(stateBytes(mem, streams), after_batched)
-            << "seed " << seed << " tick " << tick;
+        expectTickMatches(mem, streams, reqs,
+                          "seed " + std::to_string(seed) + " tick " +
+                              std::to_string(tick));
+        if (::testing::Test::HasFatalFailure())
+            return;
     }
 }
 
@@ -295,6 +312,167 @@ TEST(WalkKernelProperty, NextRunsMatchesNextOnEdgeShapes)
         // The residual draw state continues alike.
         for (int i = 0; i < 64; ++i)
             ASSERT_EQ(a.next(), b.next());
+    }
+}
+
+/** A stream over a working set of @p lines lines, @p hot hot. */
+std::unique_ptr<AddressStream>
+makeStream(uint64_t lines, double hot, uint64_t base_line, Rng rng)
+{
+    AddressStreamSpec spec;
+    spec.workingSetBytes = 64 * lines;
+    spec.hotFraction = hot;
+    return std::make_unique<AddressStream>(spec, base_line, rng);
+}
+
+TEST(WalkKernelProperty, WalksCrossingIntoAFullL1MatchReference)
+{
+    // The batched walk takes its full-L1 probe only when every line of
+    // the L1 is owned at walk start. Walk each L1 up to a set fill one
+    // reference access at a time — cold, partly filled, and one or two
+    // lines short of full — then batched ticks cross into a full L1
+    // mid-walk and go on from there.
+    Rng rng(0xF111u);
+    for (uint32_t l1_lines : {4u, 16u, 256u}) {
+        for (uint32_t short_by : {l1_lines, l1_lines / 2, 2u, 1u}) {
+            MemSystemConfig config;
+            config.numCores = 2;
+            config.l1.sizeBytes = 64 * l1_lines;
+            config.l2.sizeBytes = 64 * 8 * 16;
+            config.interleaveChunk =
+                static_cast<uint32_t>(1 + rng.below(8));
+            MemSystem mem(config);
+            Streams streams;
+            for (uint32_t c = 0; c < 2; ++c)
+                streams.push_back(makeStream(4 * l1_lines, 0.5,
+                                             (c + 1) << 20, rng.fork("s")));
+            const std::string where =
+                std::to_string(l1_lines) + "-line L1, " +
+                std::to_string(short_by) + " short";
+
+            // One reference access at a time until the fill is reached.
+            const uint64_t target = l1_lines - short_by;
+            mem.setBatchedWalk(false);
+            std::vector<MemSampleResult> results;
+            for (uint32_t c = 0; c < 2; ++c)
+                while (mem.l1(c).ownedLines(0) < target)
+                    mem.tickSample({{c, streams[c].get(), 1}}, results);
+            ASSERT_EQ(mem.l1(0).ownedLines(0), target) << where;
+            ASSERT_EQ(mem.l1(1).ownedLines(0), target) << where;
+
+            for (int tick = 0; tick < 4; ++tick) {
+                const uint32_t samples =
+                    static_cast<uint32_t>(1 + rng.below(4 * l1_lines));
+                expectTickMatches(mem, streams,
+                                  {{0, streams[0].get(), samples},
+                                   {1, streams[1].get(), samples / 2}},
+                                  where + " tick " + std::to_string(tick));
+                if (HasFatalFailure())
+                    return;
+            }
+            EXPECT_EQ(mem.l1(0).ownedLines(0), l1_lines) << where;
+        }
+    }
+}
+
+TEST(WalkKernelProperty, FullL1RestoredFromSnapshotMatchesReference)
+{
+    // Fill every L1, snapshot, and restore into a fresh hierarchy: the
+    // restored owned-line counts must select the full-L1 probe and give
+    // the reference results.
+    MemSystemConfig config;
+    config.numCores = 3;
+    config.l1.sizeBytes = 64 * 64;
+    config.l2.sizeBytes = 64 * 8 * 32;
+    config.interleaveChunk = 5;
+    Rng rng(0x5A75u);
+    Streams streams;
+    for (uint32_t c = 0; c < config.numCores; ++c)
+        streams.push_back(
+            makeStream(1024, 0.6, (c + 1) << 20, rng.fork("s")));
+    std::vector<MemSampleRequest> reqs;
+    for (uint32_t c = 0; c < config.numCores; ++c)
+        reqs.push_back({c, streams[c].get(), 2000});
+
+    MemSystem warm(config);
+    std::vector<MemSampleResult> results;
+    warm.tickSample(reqs, results);
+    for (uint32_t c = 0; c < config.numCores; ++c)
+        ASSERT_EQ(warm.l1(c).ownedLines(0), 64u);
+    SnapshotWriter w;
+    warm.snapshot(w);
+    const std::string bytes = w.finish();
+
+    MemSystem mem(config);
+    SnapshotReader r(bytes);
+    ASSERT_TRUE(mem.tryRestore(r));
+    for (uint32_t c = 0; c < config.numCores; ++c)
+        ASSERT_EQ(mem.l1(c).ownedLines(0), 64u);
+    for (int tick = 0; tick < 6; ++tick) {
+        for (auto &req : reqs)
+            req.samples = static_cast<uint32_t>(rng.below(1500));
+        expectTickMatches(mem, streams, reqs,
+                          "restored tick " + std::to_string(tick));
+        if (HasFatalFailure())
+            return;
+    }
+}
+
+TEST(WalkKernelProperty, DrainWithZeroOneOrSeveralMissingStreams)
+{
+    // The shared-L2 drain takes only the streams that missed their L1,
+    // and a lone such stream in one pass. A one-line working set hits
+    // its warm L1 on every probe; a large one misses. Every subset of
+    // four such streams, with a small contended L2 and streams of
+    // different lengths, covers zero, one and several missing streams,
+    // all-hit streams between missing ones, and misses running past
+    // the other streams' last pass.
+    Rng rng(0xD8A1u);
+    for (uint32_t chunk : {1u, 3u, 8u}) {
+        MemSystemConfig config;
+        config.numCores = 4;
+        config.l1.sizeBytes = 64 * 16;
+        config.l2.sizeBytes = 64 * 8 * 4;
+        config.interleaveChunk = chunk;
+        MemSystem mem(config);
+        // all[2c] is core c's all-hit stream, all[2c + 1] its missing one.
+        Streams all;
+        for (uint32_t c = 0; c < 4; ++c) {
+            all.push_back(makeStream(1, 0.0, (c + 1) << 20,
+                                     rng.fork("hit")));
+            all.push_back(makeStream(4096, 0.3, (c + 8) << 20,
+                                     rng.fork("miss")));
+        }
+        std::vector<MemSampleResult> results;
+        for (uint32_t mask = 0; mask < 16; ++mask) {
+            // Re-warm each all-hit core with its one line: a missing
+            // stream on that core may have evicted it.
+            std::vector<MemSampleRequest> reqs;
+            std::vector<uint64_t> l1_misses;
+            for (uint32_t c = 0; c < 4; ++c) {
+                const bool missing = mask >> c & 1;
+                if (!missing)
+                    mem.tickSample({{c, all[2 * c].get(), 1}}, results);
+                l1_misses.push_back(mem.l1(c).stats(0).misses);
+                const uint32_t samples =
+                    static_cast<uint32_t>(1 + rng.below(200));
+                reqs.push_back(
+                    {c, all[2 * c + (missing ? 1 : 0)].get(), samples});
+            }
+            const std::string where = "chunk " + std::to_string(chunk) +
+                " missing-stream mask " + std::to_string(mask);
+            expectTickMatches(mem, all, reqs, where);
+            if (HasFatalFailure())
+                return;
+            for (uint32_t c = 0; c < 4; ++c) {
+                const uint64_t missed =
+                    mem.l1(c).stats(0).misses - l1_misses[c];
+                if (mask >> c & 1)
+                    EXPECT_GT(missed, 0u) << where << " core " << c;
+                else
+                    EXPECT_EQ(missed, 0u) << where << " core " << c;
+            }
+        }
     }
 }
 

@@ -259,7 +259,7 @@ scanUnit(std::string path, const std::string &content)
     State state = State::Code;
     std::string code_line, text_line, comment_line, raw_delim;
     size_t line_idx = 0;
-    bool lane_region = false;
+    bool walk_region = false;
     // In-flight string literal (may span lines for raw strings).
     size_t lit_line = 0, lit_col = 0;
     std::string lit_value;
@@ -267,12 +267,12 @@ scanUnit(std::string path, const std::string &content)
     auto flush_line = [&]() {
         applyNolintDirectives(comment_line, line_idx, unit);
         applyAnnotations(comment_line, line_idx, unit);
-        if (comment_line.find("dora:lane-kernel-begin") !=
+        if (comment_line.find("dora:walk-kernel-begin") !=
             std::string::npos)
-            lane_region = true;
-        unit.laneKernel.push_back(lane_region ? 1 : 0);
-        if (comment_line.find("dora:lane-kernel-end") != std::string::npos)
-            lane_region = false;
+            walk_region = true;
+        unit.walkKernel.push_back(walk_region ? 1 : 0);
+        if (comment_line.find("dora:walk-kernel-end") != std::string::npos)
+            walk_region = false;
         unit.code.push_back(code_line);
         unit.text.push_back(text_line);
         code_line.clear();
@@ -1787,11 +1787,11 @@ discardsTryResult(const ScannedUnit &u, size_t i)
 }
 
 /**
- * Cache-hostile access in a file with lane kernels: std::vector<bool>
+ * Cache-hostile access in a file with walk kernels: std::vector<bool>
  * anywhere, or `->` / `.at(` inside a marked region.
  */
 bool
-breaksLaneKernel(const ScannedUnit &u, size_t i)
+breaksWalkKernel(const ScannedUnit &u, size_t i)
 {
     const std::string &s = u.code[i];
     for (size_t pos = s.find("std::vector<"); pos != std::string::npos;
@@ -1802,7 +1802,7 @@ breaksLaneKernel(const ScannedUnit &u, size_t i)
             s[close] == '>')
             return true;
     }
-    if (i >= u.laneKernel.size() || !u.laneKernel[i])
+    if (i >= u.walkKernel.size() || !u.walkKernel[i])
         return false;
     if (s.find("->") != std::string::npos)
         return true;
@@ -1935,22 +1935,22 @@ lineRules()
          "state divergence — check the result (or NOLINT with "
          "justification)"},
         // std::vector<bool> is a bit-packed proxy container, so the
-        // per-lane scratch buffers stop being byte-addressable. The
+        // walk kernel's scratch buffers stop being byte-addressable. The
         // kernels must read flat SoA arrays hoisted into locals before
         // the loop (DESIGN.md §5g): `->` re-loads through a pointer
         // the compiler cannot prove loop-invariant, and `.at()` adds
         // a branch per element.
-        {"dora-perf-lane-alias",
-         "no std::vector<bool> in lane-kernel files; no ->/.at() "
-         "inside dora:lane-kernel regions",
+        {"dora-perf-walk-alias",
+         "no std::vector<bool> in walk-kernel files; no ->/.at() "
+         "inside dora:walk-kernel regions",
          [](U u) {
              return inSrcOrBench(u) &&
-                 std::count(u.laneKernel.begin(), u.laneKernel.end(), 1);
+                 std::count(u.walkKernel.begin(), u.walkKernel.end(), 1);
          },
-         breaksLaneKernel,
-         "std::vector<bool> in a lane-kernel file, or pointer member "
+         breaksWalkKernel,
+         "std::vector<bool> in a walk-kernel file, or pointer member "
          "access (->) / bounds-checked indexing (.at) inside a "
-         "lane-kernel region; use std::vector<uint8_t> or AlignedVec "
+         "walk-kernel region; use std::vector<uint8_t> or AlignedVec "
          "and hoist fields into flat local arrays before the loop so "
          "the kernel stays alias-free and vectorizable"},
     };

@@ -98,12 +98,12 @@ struct ScannedUnit
     /** Rule ids suppressed on each line; "*" suppresses all rules. */
     std::vector<std::set<std::string>> nolint;
     /**
-     * Per-line flag: inside a `// dora:lane-kernel-begin` ..
-     * `// dora:lane-kernel-end` region (the SIMD-friendly hot loops
+     * Per-line flag: inside a `// dora:walk-kernel-begin` ..
+     * `// dora:walk-kernel-end` region (the SIMD-friendly hot loops
      * of the batched walk kernel, DESIGN.md §5g). Marker lines are
      * included.
      */
-    std::vector<char> laneKernel;
+    std::vector<char> walkKernel;
 
     /**
      * True when @p line (1-based) carries annotation @p name with a
