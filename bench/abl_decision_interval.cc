@@ -20,6 +20,9 @@ using namespace dora;
 int
 main(int argc, char **argv)
 {
+    cliCheckFlags(argc, argv,
+                  "Ablation (Section IV-C): DORA's decision interval.",
+                  {});
     ObsGuard obs(argc, argv);
     const unsigned jobs = benchJobs(argc, argv);
     auto bundle = benchBundle();

@@ -21,6 +21,9 @@ using namespace dora;
 int
 main(int argc, char **argv)
 {
+    cliCheckFlags(argc, argv,
+                  "Ablation: shared-L2 replacement policy.",
+                  {});
     ObsGuard obs(argc, argv);
     TextTable t({"L2 policy", "reddit alone s", "reddit +high s",
                  "interference %", "espn+med s", "backprop MPKI"});

@@ -20,6 +20,9 @@ using namespace dora;
 int
 main(int argc, char **argv)
 {
+    cliCheckFlags(argc, argv,
+                  "Ablation: sampled-address-stream density.",
+                  {});
     ObsGuard obs(argc, argv);
     TextTable t({"sampling ratio", "reddit alone s", "reddit +high s",
                  "interference %", "backprop MPKI", "run cost (samples"

@@ -78,6 +78,10 @@ relDelta(double exact, double adaptive)
 int
 main(int argc, char **argv)
 {
+    cliCheckFlags(argc, argv,
+                  "Self-checking accuracy gate for the adaptive sampling and "
+                  "macro-tick fast path.",
+                  {});
     ObsGuard obs(argc, argv);
     const unsigned jobs = benchJobs(argc, argv);
 

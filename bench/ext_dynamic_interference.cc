@@ -24,6 +24,10 @@ using namespace dora;
 int
 main(int argc, char **argv)
 {
+    cliCheckFlags(argc, argv,
+                  "Extension: interference that changes during the page "
+                  "load.",
+                  {});
     ObsGuard obs(argc, argv);
     auto bundle = benchBundle();
     ExperimentRunner runner;

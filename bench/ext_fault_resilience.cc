@@ -119,6 +119,10 @@ rejectedSafely(const std::string &label, const std::string &contents)
 int
 main(int argc, char **argv)
 {
+    cliCheckFlags(argc, argv,
+                  "Extension: governor resilience under an injected fault "
+                  "model.",
+                  {});
     ObsGuard obs(argc, argv);
     auto bundle = benchBundle();
     ExperimentRunner runner;

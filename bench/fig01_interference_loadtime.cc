@@ -20,6 +20,10 @@ using namespace dora;
 int
 main(int argc, char **argv)
 {
+    cliCheckFlags(argc, argv,
+                  "Figure 1: impact of memory interference on Reddit's load "
+                  "time at each frequency.",
+                  {});
     ObsGuard obs(argc, argv);
     ExperimentRunner runner;
     const FreqTable &table = runner.freqTable();

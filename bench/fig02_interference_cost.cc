@@ -30,6 +30,9 @@ using namespace dora;
 int
 main(int argc, char **argv)
 {
+    cliCheckFlags(argc, argv,
+                  "Figure 2: what co-scheduling costs the browser.",
+                  {});
     ObsGuard obs(argc, argv);
     ExperimentRunner runner;
     const size_t fmax = runner.freqTable().maxIndex();

@@ -93,6 +93,10 @@ sweepPage(ExperimentRunner &runner, const char *name, MemIntensity cls)
 int
 main(int argc, char **argv)
 {
+    cliCheckFlags(argc, argv,
+                  "Figure 3: the optimal operating mode of a heavy and a "
+                  "light page.",
+                  {});
     ObsGuard obs(argc, argv);
     ExperimentRunner runner;
     sweepPage(runner, "espn", MemIntensity::Medium);

@@ -56,6 +56,10 @@ detail(ComparisonHarness &harness, const char *page_name)
 int
 main(int argc, char **argv)
 {
+    cliCheckFlags(argc, argv,
+                  "Figure 9: interaction of page complexity with "
+                  "interference intensity.",
+                  {});
     ObsGuard obs(argc, argv);
     auto bundle = benchBundle();
     ComparisonHarness harness(ExperimentConfig{}, bundle);

@@ -24,6 +24,10 @@ using namespace dora;
 int
 main(int argc, char **argv)
 {
+    cliCheckFlags(argc, argv,
+                  "Figure 10: the impact of leakage power on the fopt "
+                  "decision.",
+                  {});
     ObsGuard obs(argc, argv);
     auto bundle = benchBundle();
     const WorkloadSpec w = WorkloadSets::combo(

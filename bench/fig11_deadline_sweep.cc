@@ -20,6 +20,9 @@ using namespace dora;
 int
 main(int argc, char **argv)
 {
+    cliCheckFlags(argc, argv,
+                  "Figure 11: DORA under varying QoS deadlines.",
+                  {});
     ObsGuard obs(argc, argv);
     auto bundle = benchBundle();
     const WorkloadSpec w = WorkloadSets::combo(

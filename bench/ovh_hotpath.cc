@@ -157,14 +157,14 @@ main(int argc, char **argv)
     // seen pre-filtering (ObsGuard parses both).
     ObsGuard obs(argc, argv);
     benchmark::Initialize(&argc, argv);
-    // After Initialize, which removes the --benchmark_* flags it
-    // parsed. One it could not parse stays in argv (google-benchmark
-    // 1.7 reads --benchmark_min_time only as a plain number and warns
-    // about "0.1s"); that is the library's to report.
+    // After Initialize, which removes every --benchmark_* flag it
+    // parsed. One it could not parse (google-benchmark 1.7 reads
+    // --benchmark_min_time only as a plain number, so "0.1s" stays)
+    // or a misspelled one is left in argv and is fatal here.
     cliCheckFlags(argc, argv,
-                  "Micro-benchmarks of the per-tick simulation hot path.",
-                  {{"--benchmark_*", nullptr,
-                    "google-benchmark flags, read by the library"}});
+                  "Micro-benchmarks of the per-tick simulation hot path. "
+                  "--benchmark_* flags go to google-benchmark.",
+                  {});
     benchmark::RunSpecifiedBenchmarks();
     benchmark::Shutdown();
     printTickRate();

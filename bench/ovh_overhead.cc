@@ -154,9 +154,10 @@ main(int argc, char **argv)
     ObsGuard obs(argc, argv);
     benchmark::Initialize(&argc, argv);
     // After Initialize: see ovh_memsample.cc.
-    cliCheckFlags(argc, argv, "Section V-H: DORA's runtime overhead.",
-                  {{"--benchmark_*", nullptr,
-                    "google-benchmark flags, read by the library"}});
+    cliCheckFlags(argc, argv,
+                  "Section V-H: DORA's runtime overhead. --benchmark_* "
+                  "flags go to google-benchmark.",
+                  {});
     g_bundle = benchBundle();
     benchmark::RunSpecifiedBenchmarks();
     benchmark::Shutdown();

@@ -14,6 +14,9 @@ using namespace dora;
 int
 main(int argc, char **argv)
 {
+    cliCheckFlags(argc, argv,
+                  "Table II: specification of the simulated device.",
+                  {});
     ObsGuard obs(argc, argv);
     const Soc soc = Soc::nexus5();
     const SocConfig &config = soc.config();

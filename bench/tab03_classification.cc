@@ -20,6 +20,9 @@ using namespace dora;
 int
 main(int argc, char **argv)
 {
+    cliCheckFlags(argc, argv,
+                  "Table III: workload classification.",
+                  {});
     ObsGuard obs(argc, argv);
     ExperimentRunner runner;
     const size_t fmax = runner.freqTable().maxIndex();

@@ -60,7 +60,7 @@ rm -f "${scaling_log}"
 
 echo "== ovh_hotpath (adaptive) =="
 hotpath_log="$(mktemp)"
-"${bench}/ovh_hotpath" --benchmark_min_time=0.1s | tee "${hotpath_log}"
+"${bench}/ovh_hotpath" --benchmark_min_time=0.1 | tee "${hotpath_log}"
 ticks="$(awk '/^HOTPATH_TICKS_PER_SEC /{print $2}' "${hotpath_log}")"
 
 echo "== ovh_hotpath (--exact-ticks) =="
@@ -72,7 +72,7 @@ rm -f "${hotpath_log}"
 
 echo "== ovh_memsample =="
 memsample_log="$(mktemp)"
-"${bench}/ovh_memsample" --benchmark_min_time=0.1s \
+"${bench}/ovh_memsample" --benchmark_min_time=0.1 \
     | tee "${memsample_log}"
 walk_ns="$(awk '/^MEMSAMPLE_WALK_NS_PER_SAMPLE /{print $2}' \
     "${memsample_log}")"

@@ -32,15 +32,9 @@ const CliFlag *
 findFlag(const std::vector<CliFlag> &flags, std::string_view name)
 {
     for (const std::vector<CliFlag> *set : {&flags, &sharedFlags()})
-        for (const CliFlag &f : *set) {
-            // A name ending in '*' declares a flag family by prefix.
-            const std::string_view decl(f.name);
-            if (name == decl ||
-                (decl.back() == '*' &&
-                 name.substr(0, decl.size() - 1) ==
-                     decl.substr(0, decl.size() - 1)))
+        for (const CliFlag &f : *set)
+            if (name == f.name)
                 return &f;
-        }
     return nullptr;
 }
 

@@ -45,9 +45,7 @@ bool cliHasFlag(int argc, char **argv, const std::string &flag);
 /** One flag a binary declares to cliCheckFlags(). */
 struct CliFlag
 {
-    /** e.g. "--fleet-devices"; "--benchmark_*" declares every flag
-     *  with that prefix. */
-    const char *name;
+    const char *name;   //!< e.g. "--fleet-devices"
     const char *value;  //!< value placeholder ("N"); nullptr: boolean
     const char *help;   //!< one line for the usage listing
 };
@@ -56,10 +54,10 @@ struct CliFlag
  * Reject every argument a binary does not declare. Each argument must
  * be one of @p flags, one of the shared flags every binary accepts
  * (`--jobs N`, `--workers N`, `--trace DIR`, `--exact-ticks`), or
- * the value of a separated `--flag value`. A flag family declared as
- * `--prefix*` admits every `--prefix...` argument, so a binary can
- * pass a library's flags through (the ovh_* google-benchmark binaries
- * declare `--benchmark_*`).
+ * the value of a separated `--flag value`. A binary that hands argv
+ * to a library first (the ovh_* google-benchmark binaries) calls it
+ * on what the library left, so a library flag the library could not
+ * parse is fatal too.
  * `--help` (or `-h`) prints the usage listing, headed by @p about, to
  * stdout and exits 0; anything undeclared is fatal, with the listing
  * on stderr. Call it first in main(), before any flag is read; value

@@ -9,6 +9,7 @@
 
 #include "common/logging.hh"
 #include "common/rng.hh"
+#include "exec/file_io.hh"
 
 namespace dora
 {
@@ -63,39 +64,6 @@ encodeRecord(uint64_t unit, std::string_view payload)
     return out;
 }
 
-bool
-writeAll(int fd, const char *p, size_t n)
-{
-    while (n > 0) {
-        const ssize_t w = ::write(fd, p, n);
-        if (w < 0) {
-            if (errno == EINTR)
-                continue;
-            return false;
-        }
-        p += w;
-        n -= static_cast<size_t>(w);
-    }
-    return true;
-}
-
-bool
-readWhole(int fd, std::string *out)
-{
-    char buf[64 * 1024];
-    for (;;) {
-        const ssize_t r = ::read(fd, buf, sizeof(buf));
-        if (r < 0) {
-            if (errno == EINTR)
-                continue;
-            return false;
-        }
-        if (r == 0)
-            return true;
-        out->append(buf, static_cast<size_t>(r));
-    }
-}
-
 } // namespace
 
 ResultsJournal::~ResultsJournal()
@@ -131,7 +99,7 @@ ResultsJournal::open(const std::string &path, uint64_t campaign_hash,
     }
 
     std::string bytes;
-    if (!readWhole(fd_, &bytes)) {
+    if (!readAll(fd_, &bytes)) {
         error_ = "read(" + path + "): " + std::strerror(errno);
         close();
         return false;
@@ -139,8 +107,7 @@ ResultsJournal::open(const std::string &path, uint64_t campaign_hash,
 
     if (bytes.empty()) {
         // Fresh journal: write and sync the header.
-        const std::string &header = header_;
-        if (!writeAll(fd_, header.data(), header.size()) ||
+        if (!writeAll(fd_, header_) ||
             ::fsync(fd_) != 0) {
             error_ = "write header(" + path + "): " +
                 std::strerror(errno);
@@ -219,7 +186,7 @@ ResultsJournal::append(uint64_t unit, std::string_view payload)
         return false;
     }
     const std::string record = encodeRecord(unit, payload);
-    if (!writeAll(fd_, record.data(), record.size())) {
+    if (!writeAll(fd_, record)) {
         error_ = std::string("append: ") + std::strerror(errno);
         return false;
     }
@@ -246,7 +213,7 @@ ResultsJournal::compactBelow(uint64_t floor)
         return false;
     }
     std::string bytes;
-    if (!readWhole(fd_, &bytes)) {
+    if (!readAll(fd_, &bytes)) {
         error_ = std::string("read: ") + std::strerror(errno);
         return false;
     }
@@ -271,24 +238,8 @@ ResultsJournal::compactBelow(uint64_t floor)
         pos += total;
     }
 
-    const std::string tmp = path_ + ".compact";
-    const int tfd =
-        ::open(tmp.c_str(), O_CREAT | O_TRUNC | O_WRONLY | O_CLOEXEC,
-               0644);
-    if (tfd < 0) {
-        error_ = "open(" + tmp + "): " + std::strerror(errno);
-        return false;
-    }
-    if (!writeAll(tfd, out.data(), out.size()) || ::fsync(tfd) != 0) {
-        error_ = "write(" + tmp + "): " + std::strerror(errno);
-        ::close(tfd);
-        ::unlink(tmp.c_str());
-        return false;
-    }
-    ::close(tfd);
-    if (::rename(tmp.c_str(), path_.c_str()) != 0) {
-        error_ = "rename(" + tmp + "): " + std::strerror(errno);
-        ::unlink(tmp.c_str());
+    if (!writeFileAtomic(path_, out)) {
+        error_ = "rewrite(" + path_ + "): " + std::strerror(errno);
         return false;
     }
 

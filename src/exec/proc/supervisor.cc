@@ -16,6 +16,7 @@
 
 #include "common/logging.hh"
 #include "common/mutex.hh"
+#include "exec/file_io.hh"
 #include "exec/proc/journal.hh"
 #include "exec/proc/wire.hh"
 #include "obs/metrics.hh"
@@ -50,22 +51,6 @@ monotonicSec()
         .count();
 }
 
-bool
-writeAll(int fd, const char *p, size_t n)
-{
-    while (n > 0) {
-        const ssize_t w = ::write(fd, p, n);
-        if (w < 0) {
-            if (errno == EINTR)
-                continue;
-            return false;
-        }
-        p += w;
-        n -= static_cast<size_t>(w);
-    }
-    return true;
-}
-
 // ---------------------------------------------------------------- //
 // Worker side                                                      //
 // ---------------------------------------------------------------- //
@@ -87,7 +72,7 @@ struct WorkerPipe
 
     bool sendLocked(const std::string &bytes) REQUIRES(mutex)
     {
-        return writeAll(fd, bytes.data(), bytes.size());
+        return writeAll(fd, bytes);
     }
 };
 
@@ -244,7 +229,6 @@ class Supervisor
                const ProcUnitFn &run_unit)
         : config_(config), unitCount_(unit_count), runUnit_(run_unit)
     {
-        report_.results.resize(unit_count);
         report_.completed.assign(unit_count, 0);
         lastError_.resize(unit_count);
     }
@@ -260,8 +244,7 @@ class Supervisor
     void reapWorkers(double now);
     void drainWorkerPipe(WorkerSlot &slot, double now);
     void handleFrame(WorkerSlot &slot, Frame &frame, double now);
-    void completeUnit(uint64_t unit, uint32_t attempt,
-                      std::string payload, bool from_journal);
+    void completeUnit(uint64_t unit, const std::string &payload);
     void failUnit(uint64_t unit, uint32_t attempt,
                   const std::string &error, double now);
     void dispatchEligible(double now);
@@ -360,8 +343,6 @@ Supervisor::resumeFromJournal()
         ++doneCount_;
         ++report_.unitsResumed;
         notifyComplete(unit, payload);
-        if (!config_.discardResults)
-            report_.results[unit] = payload;
     }
     maybeCompact();
     if (report_.unitsResumed > 0)
@@ -403,30 +384,22 @@ Supervisor::spawnWorker(WorkerSlot &slot)
 }
 
 void
-Supervisor::completeUnit(uint64_t unit, uint32_t attempt,
-                         std::string payload, bool from_journal)
+Supervisor::completeUnit(uint64_t unit, const std::string &payload)
 {
     if (unit >= unitCount_ || report_.completed[unit])
         return;  // duplicate (late result after a timeout retry)
     report_.completed[unit] = 1;
     ++doneCount_;
-    if (!from_journal) {
-        ++report_.unitsRun;
-        // Journal before notifying: the streaming consumer's durable
-        // floor must never run ahead of what the journal holds.
-        if (journal_.isOpen() && !journal_.append(unit, payload))
-            warn("proc supervisor: journal append failed (%s); "
-                 "campaign continues but will not resume past unit "
-                 "%llu",
-                 journal_.error().c_str(),
-                 static_cast<unsigned long long>(unit));
-    }
+    ++report_.unitsRun;
+    // Journal before notifying: the streaming consumer's durable floor
+    // must never run ahead of what the journal holds.
+    if (journal_.isOpen() && !journal_.append(unit, payload))
+        warn("proc supervisor: journal append failed (%s); campaign "
+             "continues but will not resume past unit %llu",
+             journal_.error().c_str(),
+             static_cast<unsigned long long>(unit));
     notifyComplete(unit, payload);
-    if (!config_.discardResults)
-        report_.results[unit] = std::move(payload);
-    if (!from_journal)
-        maybeCompact();
-    (void)attempt;
+    maybeCompact();
 }
 
 void
@@ -470,8 +443,7 @@ Supervisor::handleFrame(WorkerSlot &slot, Frame &frame, double now)
         slot.lastBeat = now;
         if (slot.busy && frame.unit == slot.unit)
             slot.busy = false;
-        completeUnit(frame.unit, frame.attempt,
-                     std::move(frame.payload), false);
+        completeUnit(frame.unit, frame.payload);
         break;
       case FrameType::WorkerError:
         slot.lastBeat = now;
@@ -571,7 +543,7 @@ Supervisor::dispatchEligible(double now)
         dispatch.unit = unit.unit;
         dispatch.attempt = unit.attempt;
         const std::string bytes = encodeFrame(dispatch);
-        if (!writeAll(slot.toChild, bytes.data(), bytes.size())) {
+        if (!writeAll(slot.toChild, bytes)) {
             // Broken dispatch pipe: the worker is dead or dying; put
             // the unit back and let reap handle the corpse.
             pending_.push_front(unit);
@@ -643,7 +615,7 @@ Supervisor::shutdownWorkers()
     for (auto &slot : slots_) {
         if (slot.pid <= 0)
             continue;
-        if (!writeAll(slot.toChild, bytes.data(), bytes.size()))
+        if (!writeAll(slot.toChild, bytes))
             ::kill(slot.pid, SIGKILL);
         ::close(slot.toChild);
         slot.toChild = -1;

@@ -22,10 +22,11 @@
  *     at any instant — including SIGKILL of the supervisor itself —
  *     resumes from the journal without recomputing finished units.
  *
- * Determinism: results are keyed by unit index, so the report is
- * independent of worker count, scheduling, and crash/retry history —
- * a unit's payload is byte-identical whether computed in-process, by
- * any worker, on any attempt, or replayed from the journal.
+ * Determinism: results are keyed by unit index, so what reaches
+ * onUnitComplete is independent of worker count, scheduling, and
+ * crash/retry history — a unit's payload is byte-identical whether
+ * computed in-process, by any worker, on any attempt, or replayed
+ * from the journal; only the arrival order varies.
  *
  * Precondition: the caller forks from a quiescent process — no
  * ThreadPool jobs in flight (forked children inherit only the calling
@@ -82,22 +83,17 @@ struct ProcSweepConfig
     uint64_t precompletedPrefix = 0;
 
     /**
-     * Streaming completion hook, called once per newly completed or
-     * journal-resumed unit (after the unit is journaled, in the
-     * supervisor's single control thread). The return value is the
+     * Streaming completion hook and the only way payloads reach the
+     * caller (the report keeps none, so supervisor memory stays
+     * O(open units)). Called once per newly completed or
+     * journal-resumed unit, after the unit is journaled, in the
+     * supervisor's single control thread. The return value is the
      * caller's durable floor: every unit below it is durable outside
-     * the journal, so the supervisor may drop those records
-     * (journal high-water-mark truncation). Return 0 to keep all.
+     * the journal, so the supervisor may drop those records (journal
+     * high-water-mark truncation). Return 0 to keep all.
      */
     std::function<uint64_t(uint64_t unit, const std::string &payload)>
         onUnitComplete;
-
-    /**
-     * Do not retain unit payloads in the report (the streaming hook
-     * is the consumer): supervisor memory stays O(open units)
-     * instead of O(campaign results).
-     */
-    bool discardResults = false;
 };
 
 /** A unit that exhausted its attempts. */
@@ -111,9 +107,6 @@ struct ProcUnitFailure
 /** Outcome of one runProcSweep() campaign. */
 struct ProcSweepReport
 {
-    /** Unit-indexed result payloads (empty for incomplete units). */
-    std::vector<std::string> results;
-
     /** Unit-indexed completion flags. */
     std::vector<uint8_t> completed;
 
@@ -136,7 +129,7 @@ struct ProcSweepReport
         for (const uint8_t c : completed)
             if (!c)
                 return false;
-        return !completed.empty() || results.empty();
+        return true;
     }
 };
 

@@ -1,21 +1,14 @@
 #include "fleet/campaign.hh"
 
 #include <algorithm>
-#include <cerrno>
-#include <csignal>
 #include <cstdio>
-#include <cstring>
-#include <map>
-
-#include <fcntl.h>
-#include <unistd.h>
 
 #include "browser/page_corpus.hh"
 #include "common/logging.hh"
 #include "common/rng.hh"
 #include "common/snapshot.hh"
-#include "exec/proc/supervisor.hh"
-#include "exec/thread_pool.hh"
+#include "exec/cell_map.hh"
+#include "exec/file_io.hh"
 #include "fault/fault_injector.hh"
 #include "harness/comparison.hh"
 #include "obs/trace.hh"
@@ -34,70 +27,6 @@ appendHexDouble(std::string &text, double value)
     char buf[40];
     std::snprintf(buf, sizeof(buf), "%a", value);
     text += buf;
-}
-
-bool
-writeAllFd(int fd, const char *p, size_t n)
-{
-    while (n > 0) {
-        const ssize_t w = ::write(fd, p, n);
-        if (w < 0) {
-            if (errno == EINTR)
-                continue;
-            return false;
-        }
-        p += w;
-        n -= static_cast<size_t>(w);
-    }
-    return true;
-}
-
-/** Whole-file read; false when the file is absent or unreadable. */
-bool
-readFile(const std::string &path, std::string *out)
-{
-    const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
-    if (fd < 0)
-        return false;
-    char buf[64 * 1024];
-    for (;;) {
-        const ssize_t r = ::read(fd, buf, sizeof(buf));
-        if (r < 0) {
-            if (errno == EINTR)
-                continue;
-            ::close(fd);
-            return false;
-        }
-        if (r == 0)
-            break;
-        out->append(buf, static_cast<size_t>(r));
-    }
-    ::close(fd);
-    return true;
-}
-
-/** Temp + fsync + rename: a kill leaves the old file or the new one. */
-bool
-writeFileAtomic(const std::string &path, std::string_view bytes)
-{
-    const std::string tmp = path + ".tmp";
-    const int fd = ::open(tmp.c_str(),
-                          O_CREAT | O_TRUNC | O_WRONLY | O_CLOEXEC,
-                          0644);
-    if (fd < 0)
-        return false;
-    if (!writeAllFd(fd, bytes.data(), bytes.size()) ||
-        ::fsync(fd) != 0) {
-        ::close(fd);
-        ::unlink(tmp.c_str());
-        return false;
-    }
-    ::close(fd);
-    if (::rename(tmp.c_str(), path.c_str()) != 0) {
-        ::unlink(tmp.c_str());
-        return false;
-    }
-    return true;
 }
 
 /**
@@ -301,145 +230,6 @@ FleetEngine::runChunk(size_t chunk_index) const
     return agg;
 }
 
-FleetShardAggregate
-FleetEngine::runCampaignInProcess() const
-{
-    const size_t chunks = chunkCount();
-    FleetShardAggregate campaign =
-        FleetShardAggregate::forCampaign(config_.governors.size());
-    if (config_.jobs <= 1 || chunks <= 1) {
-        // Pure streaming: one chunk of state live at a time.
-        for (size_t c = 0; c < chunks; ++c)
-            campaign.merge(runChunk(c));
-        return campaign;
-    }
-    // Thread tier: chunks evaluate in parallel, then fold in chunk
-    // order (the canonical fold). A chunk aggregate is fixed-size, so
-    // holding all of them is O(chunks), not O(devices).
-    const std::vector<FleetShardAggregate> per_chunk =
-        parallelMap<FleetShardAggregate>(
-            chunks, [this](size_t c) { return runChunk(c); },
-            config_.jobs);
-    for (const FleetShardAggregate &chunk : per_chunk)
-        campaign.merge(chunk);
-    return campaign;
-}
-
-FleetShardAggregate
-FleetEngine::runCampaignWithWorkers() const
-{
-    const size_t gcount = config_.governors.size();
-    const uint64_t chunks = chunkCount();
-    const uint64_t hash = fleetCampaignHash(config_);
-
-    ProcSweepConfig proc;
-    proc.workers = config_.workers;
-    proc.campaignHash = hash;
-    // The streaming hook below is the consumer: the supervisor keeps
-    // no per-unit payloads, so its memory is O(workers + reorder
-    // window), independent of the fleet size.
-    proc.discardResults = true;
-
-    std::string ckpt_path;
-    if (!config_.journalStem.empty()) {
-        const std::string stem =
-            config_.journalStem + "." + hexU64(hash);
-        proc.journalPath = stem + ".jrn";
-        ckpt_path = stem + ".ckpt";
-    }
-
-    FleetShardAggregate campaign =
-        FleetShardAggregate::forCampaign(gcount);
-    uint64_t absorbed = 0;      // chunks folded into the prefix
-    uint64_t durable_floor = 0; // chunks durable in the checkpoint
-    if (!ckpt_path.empty() &&
-        tryLoadCheckpoint(ckpt_path, hash, chunks,
-                          config_.chunkDevices, config_.spec.devices,
-                          gcount, &absorbed, &campaign)) {
-        durable_floor = absorbed;
-        inform("fleet: checkpoint %s covers %llu/%llu chunks; "
-               "resuming past them",
-               ckpt_path.c_str(),
-               static_cast<unsigned long long>(absorbed),
-               static_cast<unsigned long long>(chunks));
-    }
-    proc.precompletedPrefix = absorbed;
-
-    // Chunks complete in any order; fold stays canonical by parking
-    // out-of-order arrivals until the next-in-line chunk lands.
-    std::map<uint64_t, FleetShardAggregate> pending;
-    uint64_t since_ckpt = 0;
-    proc.onUnitComplete = [&](uint64_t unit,
-                              const std::string &payload) -> uint64_t {
-        FleetShardAggregate chunk;
-        if (!chunk.tryDeserialize(payload))
-            fatal("fleet: chunk %llu payload from the process tier "
-                  "does not deserialize (journal from an older "
-                  "build?); delete %s and re-run",
-                  static_cast<unsigned long long>(unit),
-                  proc.journalPath.c_str());
-        pending.emplace(unit, std::move(chunk));
-        while (!pending.empty() &&
-               pending.begin()->first == absorbed) {
-            campaign.merge(pending.begin()->second);
-            pending.erase(pending.begin());
-            ++absorbed;
-            ++since_ckpt;
-        }
-        if (!ckpt_path.empty() &&
-            since_ckpt >= config_.checkpointIntervalChunks) {
-            if (writeFileAtomic(
-                    ckpt_path,
-                    checkpointBytes(hash, chunks,
-                                    config_.chunkDevices, absorbed,
-                                    campaign)))
-                durable_floor = absorbed;
-            else
-                warn("fleet: checkpoint write to %s failed; the "
-                     "journal keeps the full history",
-                     ckpt_path.c_str());
-            since_ckpt = 0;
-        }
-        return durable_floor;
-    };
-
-    const ProcSweepReport report =
-        runProcSweep(proc, chunks, [this](uint64_t c) {
-            return runChunk(static_cast<size_t>(c)).serialize();
-        });
-
-    if (report.drained) {
-        // Progress (if journaled) is durable; die by the original
-        // signal so scripts see the conventional status, and a rerun
-        // resumes from the checkpoint + journal.
-        warn("fleet: campaign interrupted by signal %d with %llu "
-             "chunks durable; re-run to resume",
-             report.drainSignal,
-             static_cast<unsigned long long>(
-                 report.unitsRun + report.unitsResumed +
-                 report.unitsPrecompleted));
-        ::raise(report.drainSignal);
-        fatal("fleet: campaign interrupted"); // signal was ignored
-    }
-
-    // Quarantined chunks leave holes; recompute them in-process so
-    // the fold stays canonical and the campaign still completes.
-    while (absorbed < chunks) {
-        const auto it = pending.find(absorbed);
-        if (it != pending.end()) {
-            campaign.merge(it->second);
-            pending.erase(it);
-        } else {
-            warn("fleet: chunk %llu was quarantined by the process "
-                 "tier; recomputing in-process",
-                 static_cast<unsigned long long>(absorbed));
-            campaign.merge(runChunk(absorbed));
-        }
-        ++absorbed;
-    }
-    return campaign;
-}
-
 FleetReport
 FleetEngine::buildReport(const FleetShardAggregate &campaign) const
 {
@@ -499,9 +289,63 @@ FleetEngine::buildReport(const FleetShardAggregate &campaign) const
 FleetReport
 FleetEngine::run()
 {
-    const FleetShardAggregate campaign = config_.workers > 0
-        ? runCampaignWithWorkers()
-        : runCampaignInProcess();
+    const size_t gcount = config_.governors.size();
+    const uint64_t chunks = chunkCount();
+    const uint64_t hash = fleetCampaignHash(config_);
+    CellMapConfig map;
+    map.jobs = config_.jobs;
+    map.workers = config_.workers;
+    map.campaignHash = hash;
+    map.journalStem = config_.journalStem;
+    map.who = "fleet chunks";
+
+    // The fold's cells are chunk aggregates, merged in chunk order.
+    FleetShardAggregate campaign =
+        FleetShardAggregate::forCampaign(gcount);
+    FoldCheckpoint checkpoint;
+    const std::string ckpt_path =
+        config_.workers > 0 && !config_.journalStem.empty()
+        ? config_.journalStem + "." + hexU64(hash) + ".ckpt"
+        : "";
+    size_t durable = 0, since_ckpt = 0;
+    if (!ckpt_path.empty()) {
+        uint64_t absorbed = 0;
+        if (tryLoadCheckpoint(ckpt_path, hash, chunks,
+                              config_.chunkDevices, config_.spec.devices,
+                              gcount, &absorbed, &campaign)) {
+            checkpoint.prefix = durable = absorbed;
+            inform("fleet: checkpoint %s covers %llu/%llu chunks; "
+                   "resuming past them",
+                   ckpt_path.c_str(),
+                   static_cast<unsigned long long>(absorbed),
+                   static_cast<unsigned long long>(chunks));
+        }
+        checkpoint.save = [&](size_t folded) {
+            if (++since_ckpt < config_.checkpointIntervalChunks)
+                return durable;
+            since_ckpt = 0;
+            if (writeFileAtomic(ckpt_path,
+                                checkpointBytes(hash, chunks,
+                                                config_.chunkDevices,
+                                                folded, campaign)))
+                durable = folded;
+            else
+                warn("fleet: checkpoint write to %s failed; the "
+                     "journal keeps the full history",
+                     ckpt_path.c_str());
+            return durable;
+        };
+    }
+
+    foldCells<FleetShardAggregate>(
+        chunks, map,
+        {[](const FleetShardAggregate &chunk) { return chunk.serialize(); },
+         [](std::string_view bytes, FleetShardAggregate *chunk) {
+             return chunk->tryDeserialize(bytes);
+         }},
+        [this](size_t c) { return runChunk(c); },
+        [&](size_t, FleetShardAggregate &&chunk) { campaign.merge(chunk); },
+        checkpoint);
     return buildReport(campaign);
 }
 

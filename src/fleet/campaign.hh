@@ -23,12 +23,12 @@
  * (fleet/aggregate.hh), and every tier folds chunk aggregates
  * left-to-right in chunk-index order. The process tier ships one
  * aggregate per chunk instead of per-device measurements
- * (supervisor memory O(chunks in flight), not O(devices)), and the
- * supervisor's streaming hook absorbs chunks into the campaign
- * prefix as they land, writing a versioned aggregate checkpoint
- * every checkpointIntervalChunks and truncating the journal below
- * the checkpointed prefix — so resume after SIGKILL costs
- * O(checkpoint interval), not O(journal replay).
+ * (supervisor memory O(chunks in flight), not O(devices)). The chunks
+ * are the cells of an exec/cell_map.hh fold, which absorbs them into
+ * the campaign prefix as they land; its checkpoint hook writes a
+ * versioned aggregate checkpoint every checkpointIntervalChunks, and
+ * the journal is truncated below the checkpointed prefix — so resume
+ * after SIGKILL costs O(checkpoint interval), not O(journal replay).
  *
  * The campaign hash covers the spec text, the base ExperimentConfig
  * protocol hash, the governor list, and the chunk width, so a stale
@@ -208,8 +208,6 @@ class FleetEngine
     RunMeasurement runCell(size_t cell_index,
                            const DeviceSpec &sampled) const;
     FleetShardAggregate runChunk(size_t chunk_index) const;
-    FleetShardAggregate runCampaignInProcess() const;
-    FleetShardAggregate runCampaignWithWorkers() const;
     FleetReport buildReport(const FleetShardAggregate &campaign) const;
 
     FleetCampaignConfig config_;

@@ -192,28 +192,33 @@ TEST(CliCheckFlags, SeparatedValueIsNotCheckedAsAFlag)
     checkFleetFlags(args);
 }
 
-/** A google-benchmark binary: the library's flags pass as a family. */
+/**
+ * A google-benchmark binary: it declares no flags of its own and
+ * checks what benchmark::Initialize leaves in argv.
+ */
 void
 checkBenchmarkFlags(Argv &args)
 {
-    cliCheckFlags(args.argc(), args.argv(), "Micro-benchmarks.",
-                  {{"--benchmark_*", nullptr, "google-benchmark flags"}});
+    cliCheckFlags(args.argc(), args.argv(), "Micro-benchmarks.", {});
 }
 
-TEST(CliCheckFlags, PrefixFamilyAdmitsItsFlags)
+TEST(CliCheckFlags, EmptyDeclarationAdmitsSharedFlags)
 {
-    Argv args({"ovh_memsample", "--benchmark_min_time=0.1s",
-               "--benchmark_filter=none", "--exact-ticks"});
+    // `--benchmark_min_time=0.1 --jobs 2 --exact-ticks` once the
+    // library has stripped the flag it parsed.
+    Argv args({"ovh_memsample", "--jobs", "2", "--exact-ticks"});
     checkBenchmarkFlags(args);
 }
 
-TEST(CliDeath, FlagOutsideAPrefixFamilyIsFatal)
+TEST(CliDeath, BenchmarkFlagLeftInArgvIsFatal)
 {
+    // google-benchmark 1.7 leaves a value it cannot parse ("0.1s") and
+    // a misspelled --benchmark_* flag in argv; both are unknown here.
     Argv args({"ovh_memsample", "--benchmark_min_time=0.1s",
-               "--benchmarks", "--bogus"});
+               "--benchmark_colour=no"});
     EXPECT_EXIT(checkBenchmarkFlags(args), ::testing::ExitedWithCode(1),
-                "usage: ovh_memsample.*--benchmark_\\*.*"
-                "unknown flag '--benchmarks'");
+                "usage: ovh_memsample.*"
+                "unknown flag '--benchmark_min_time=0.1s'");
 }
 
 TEST(CliDeath, UndeclaredFlagIsFatalWithUsage)

@@ -9,7 +9,9 @@
  *  - replayDevice() reproduces an in-campaign cell bit-exactly;
  *  - a supervisor SIGKILLed mid-campaign resumes from the journal to
  *    a byte-identical report;
- *  - cohort device counts conserve the population.
+ *  - cohort device counts conserve the population;
+ *  - a journal and checkpoint written by an earlier build resume to
+ *    the report that build recorded (tests/fleet/fixtures/).
  *
  * Identity is checked through fleetReportText() and the population
  * digest (hex-float rendering underneath), so any single-ULP
@@ -24,6 +26,8 @@
 #include <cmath>
 #include <csignal>
 #include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <set>
 #include <string>
 #include <thread>
@@ -35,6 +39,7 @@
 #include "fleet/campaign.hh"
 #include "fleet/fleet_spec.hh"
 #include "obs/metrics.hh"
+#include "obs/trace.hh"
 #include "runner/experiment.hh"
 
 namespace fs = std::filesystem;
@@ -92,6 +97,23 @@ findResumeFile(const std::string &stem, const std::string &ext)
                 return entry.path().string();
         }
     return "";
+}
+
+/** Bytes of checked-in fixture @p name under tests/fleet/fixtures. */
+std::string
+fixtureBytes(const std::string &name)
+{
+    const std::string path =
+        std::string(DORA_SOURCE_DIR) + "/tests/fleet/fixtures/" + name;
+    std::ifstream in(path, std::ios::binary);
+    EXPECT_TRUE(in.good()) << "missing fixture " << name;
+    return std::string(std::istreambuf_iterator<char>(in), {});
+}
+
+uint64_t
+counterValue(const char *name)
+{
+    return MetricsRegistry::global().counter(name).value();
 }
 
 bool
@@ -483,6 +505,39 @@ TEST(FleetKillResume, CheckpointSigkillThenResumeByteIdentical)
            "checkpoint";
     EXPECT_EQ(resumed_text, ref_text);
     clearJournals(stem);
+}
+
+TEST(FleetKillResume, FixtureCheckpointAndJournalResumeToRecordedText)
+{
+    // The fixtures are what a 2-worker supervisor of this campaign
+    // left on disk when SIGKILLed part-way: a checkpoint of chunk 0
+    // and a journal holding chunk 1. Resuming from copies loads both,
+    // runs the other three chunks, and reproduces the report the
+    // writing build recorded, so the journal, the `fckp` v1 checkpoint
+    // and the campaign-hash text all read as they did.
+    const std::string dir = ::testing::TempDir() + "fleet_fixture";
+    fs::remove_all(dir);
+    fs::create_directories(dir);
+    FleetCampaignConfig config = smallCampaign(1, 1, dir + "/small_campaign");
+    config.chunkDevices = 1;
+    config.checkpointIntervalChunks = 1;
+    const std::string name =
+        "small_campaign." + hexU64(fleetCampaignHash(config));
+    ASSERT_EQ(name, "small_campaign.0x379718a78c46f017");
+    for (const char *ext : {".jrn", ".ckpt"})
+        std::ofstream(dir + "/" + name + ext, std::ios::binary)
+            << fixtureBytes(name + ext);
+
+    const uint64_t pre0 = counterValue("proc.units_precompleted");
+    const uint64_t resumed0 = counterValue("proc.units_resumed");
+    const uint64_t run0 = counterValue("proc.units_run");
+    const std::string text = fleetReportText(FleetEngine(config).run());
+
+    EXPECT_EQ(text, fixtureBytes("small_campaign.txt"));
+    EXPECT_EQ(counterValue("proc.units_precompleted") - pre0, 1u);
+    EXPECT_EQ(counterValue("proc.units_resumed") - resumed0, 1u);
+    EXPECT_EQ(counterValue("proc.units_run") - run0, 3u);
+    fs::remove_all(dir);
 }
 
 } // namespace

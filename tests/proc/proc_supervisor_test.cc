@@ -1,7 +1,8 @@
 /**
  * @file
  * Supervisor robustness-ladder tests: crash retry, hang watchdog,
- * quarantine, graceful drain, journal resume. Crash injection uses
+ * quarantine, graceful drain, journal resume. Payloads are collected
+ * through onUnitComplete, the supervisor's only output channel. Crash injection uses
  * marker files in TempDir so a unit misbehaves on exactly its first
  * attempt (attempts land in different worker processes, so in-memory
  * state cannot carry the "already failed once" bit).
@@ -15,6 +16,7 @@
 #include <cstdio>
 #include <ctime>
 #include <fstream>
+#include <map>
 #include <string>
 #include <thread>
 
@@ -70,22 +72,37 @@ class ProcSupervisorTest : public ::testing::Test
         return config;
     }
 
+    /** runProcSweep, collecting the payloads into payloads_. */
+    ProcSweepReport sweep(ProcSweepConfig config, uint64_t n,
+                          const ProcUnitFn &fn)
+    {
+        payloads_.clear();
+        config.onUnitComplete = [this](uint64_t unit,
+                                       const std::string &payload) {
+            EXPECT_TRUE(payloads_.emplace(unit, payload).second)
+                << "unit " << unit << " delivered twice";
+            return uint64_t{0};
+        };
+        return runProcSweep(config, n, fn);
+    }
+
     void expectAllCorrect(const ProcSweepReport &report, uint64_t n)
     {
         ASSERT_TRUE(report.allCompleted());
-        ASSERT_EQ(report.results.size(), n);
+        ASSERT_EQ(payloads_.size(), n);
         for (uint64_t u = 0; u < n; ++u)
-            EXPECT_EQ(report.results[u], expectedPayload(u))
-                << "unit " << u;
+            EXPECT_EQ(payloads_[u], expectedPayload(u)) << "unit " << u;
     }
 
     std::string stem_, journal_, marker_;
+    /** Payloads of the last sweep(), by unit. */
+    std::map<uint64_t, std::string> payloads_;
 };
 
 TEST_F(ProcSupervisorTest, HealthySweepCompletesEveryUnit)
 {
     for (const uint32_t workers : {1u, 4u}) {
-        const ProcSweepReport report = runProcSweep(
+        const ProcSweepReport report = sweep(
             fastConfig(workers), 9, expectedPayload);
         expectAllCorrect(report, 9);
         EXPECT_EQ(report.unitsRun, 9u);
@@ -98,7 +115,7 @@ TEST_F(ProcSupervisorTest, HealthySweepCompletesEveryUnit)
 TEST_F(ProcSupervisorTest, ZeroUnitsIsANoop)
 {
     const ProcSweepReport report =
-        runProcSweep(fastConfig(2), 0, expectedPayload);
+        sweep(fastConfig(2), 0, expectedPayload);
     EXPECT_TRUE(report.allCompleted());
     EXPECT_EQ(report.unitsRun, 0u);
 }
@@ -111,7 +128,7 @@ TEST_F(ProcSupervisorTest, CrashedWorkerIsRespawnedAndUnitRetried)
         return expectedPayload(unit);
     };
     const ProcSweepReport report =
-        runProcSweep(fastConfig(2), 6, unit_fn);
+        sweep(fastConfig(2), 6, unit_fn);
     expectAllCorrect(report, 6);
     EXPECT_GE(report.workerCrashes, 1u);
     EXPECT_GE(report.retries, 1u);
@@ -126,7 +143,7 @@ TEST_F(ProcSupervisorTest, ThrowingUnitIsRetriedWithoutACrash)
         return expectedPayload(unit);
     };
     const ProcSweepReport report =
-        runProcSweep(fastConfig(1), 4, unit_fn);
+        sweep(fastConfig(1), 4, unit_fn);
     expectAllCorrect(report, 4);
     EXPECT_EQ(report.workerCrashes, 0u);  // worker survived the throw
     EXPECT_GE(report.retries, 1u);
@@ -141,7 +158,7 @@ TEST_F(ProcSupervisorTest, HungWorkerIsKilledByHeartbeatWatchdog)
     };
     ProcSweepConfig config = fastConfig(1);
     config.heartbeatTimeoutSec = 0.3;
-    const ProcSweepReport report = runProcSweep(config, 4, unit_fn);
+    const ProcSweepReport report = sweep(config, 4, unit_fn);
     expectAllCorrect(report, 4);
     EXPECT_GE(report.workerCrashes, 1u);
     EXPECT_GE(report.retries, 1u);
@@ -156,7 +173,7 @@ TEST_F(ProcSupervisorTest, SlowUnitIsKilledByUnitTimeout)
     };
     ProcSweepConfig config = fastConfig(1);
     config.unitTimeoutSec = 0.4;
-    const ProcSweepReport report = runProcSweep(config, 3, unit_fn);
+    const ProcSweepReport report = sweep(config, 3, unit_fn);
     expectAllCorrect(report, 3);
     EXPECT_GE(report.workerCrashes, 1u);
 }
@@ -170,7 +187,7 @@ TEST_F(ProcSupervisorTest, PoisonUnitIsQuarantinedNotFatal)
     };
     ProcSweepConfig config = fastConfig(2);
     config.maxAttempts = 2;
-    const ProcSweepReport report = runProcSweep(config, 5, unit_fn);
+    const ProcSweepReport report = sweep(config, 5, unit_fn);
     EXPECT_FALSE(report.allCompleted());
     ASSERT_EQ(report.quarantined.size(), 1u);
     EXPECT_EQ(report.quarantined[0].unit, 2u);
@@ -180,7 +197,7 @@ TEST_F(ProcSupervisorTest, PoisonUnitIsQuarantinedNotFatal)
         if (u == 2)
             continue;
         EXPECT_TRUE(report.completed[u]) << "unit " << u;
-        EXPECT_EQ(report.results[u], expectedPayload(u));
+        EXPECT_EQ(payloads_[u], expectedPayload(u));
     }
 }
 
@@ -197,20 +214,20 @@ TEST_F(ProcSupervisorTest, JournalResumeSkipsCompletedUnits)
     config.maxAttempts = 1;
     config.journalPath = journal_;
     config.campaignHash = 0xfeedbeef;
-    const ProcSweepReport first = runProcSweep(config, 6, poison_fn);
+    const ProcSweepReport first = sweep(config, 6, poison_fn);
     EXPECT_EQ(first.quarantined.size(), 1u);
     EXPECT_EQ(first.unitsRun, 5u);
 
     // Second campaign over the same journal: only unit 4 runs; the
     // counter proves the other five came from the journal.
     const ProcSweepReport second =
-        runProcSweep(config, 6, expectedPayload);
+        sweep(config, 6, expectedPayload);
     expectAllCorrect(second, 6);
     EXPECT_EQ(second.unitsResumed, 5u);
     EXPECT_EQ(second.unitsRun, 1u);
 
     // Third open: fully resumed, zero work.
-    const ProcSweepReport third = runProcSweep(
+    const ProcSweepReport third = sweep(
         config, 6,
         [](uint64_t) -> std::string { ::abort(); });
     expectAllCorrect(third, 6);
@@ -242,7 +259,7 @@ TEST_F(ProcSupervisorTest, SigintDrainsInFlightAndJournalsProgress)
     fire.it_value.tv_nsec = 400'000'000;
     ASSERT_EQ(::timer_settime(interrupter, 0, &fire, nullptr), 0);
     const ProcSweepReport drained =
-        runProcSweep(config, 20, slow_fn);
+        sweep(config, 20, slow_fn);
     ::timer_delete(interrupter);
 
     EXPECT_TRUE(drained.drained);
@@ -252,7 +269,7 @@ TEST_F(ProcSupervisorTest, SigintDrainsInFlightAndJournalsProgress)
 
     // Resume finishes the campaign; drained units are not recomputed.
     const ProcSweepReport resumed =
-        runProcSweep(config, 20, slow_fn);
+        sweep(config, 20, slow_fn);
     expectAllCorrect(resumed, 20);
     EXPECT_EQ(resumed.unitsResumed, drained.unitsRun);
     EXPECT_EQ(resumed.unitsRun, 20u - drained.unitsRun);

@@ -2285,6 +2285,36 @@ ruleSerVersion(const TreeModel &model, const std::string *manifestJson,
 }
 
 /**
+ * dora-cli-flag, second half: a main() under bench/ or tools/ that
+ * never calls cliCheckFlags() ignores a misspelled or unknown flag
+ * and runs its defaults. tools/analyze/ is exempt: the checker links
+ * no dora library and rejects unknown options itself.
+ */
+void
+ruleCliFlagMain(const ScannedUnit &unit, std::vector<Finding> &out)
+{
+    if (!anyPrefix(unit.path, {"bench/", "tools/"}) ||
+        hasPrefix(unit.path, "tools/analyze/"))
+        return;
+    int main_line = 0;
+    for (size_t li = 0; li < unit.code.size(); ++li) {
+        const std::string &code = unit.code[li];
+        const std::string line = code.substr(skipWs(code, 0));
+        if (line.find("cliCheckFlags(") != std::string::npos)
+            return;
+        if (main_line == 0 && (line.rfind("main(", 0) == 0 ||
+                               line.rfind("int main(", 0) == 0))
+            main_line = static_cast<int>(li + 1);
+    }
+    if (main_line > 0)
+        out.push_back(Finding{
+            unit.path, main_line, "dora-cli-flag",
+            "main() never calls cliCheckFlags() (common/cli.hh), so a "
+            "misspelled or unknown flag is silently ignored; declare "
+            "the binary's flags there"});
+}
+
+/**
  * dora-cli-flag: a `--flag` literal in comparison position outside
  * the common/cli.hh helpers re-opens the silent-misconfiguration
  * class (missing values falling through to defaults).
@@ -2297,6 +2327,7 @@ ruleCliFlag(const TreeModel &model, std::vector<Finding> &out)
         "starts_with",
     };
     for (const ScannedUnit &unit : model.units) {
+        ruleCliFlagMain(unit, out);
         if (!anyPrefix(unit.path, {"src/", "bench/", "tools/fleet/"}))
             continue;
         if (hasPrefix(unit.path, "src/common/cli."))
@@ -2395,7 +2426,8 @@ ruleCatalog()
          false},
         {"dora-cli-flag",
          "--flag literals must be parsed via the common/cli.hh "
-         "helpers, not by hand",
+         "helpers, not by hand, and every bench/tool main() must "
+         "call cliCheckFlags()",
          false},
         });
         return rules;
